@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import BinderError
-from repro.faults.runtime import active_injector
 from repro.kernel.syscalls import kernel_exec
 from repro.libs import regions
 from repro.libs.registry import framework_veneer, mapped_object
@@ -87,7 +86,7 @@ class BinderHost:
                 raise BinderError(
                     f"{proc.comm}: no handler for service {txn.service!r}"
                 )
-            injector = active_injector()
+            injector = self.kernel.system.faults
             if injector is not None:
                 outcome = injector.binder_outcome(txn)
                 if outcome == "drop":

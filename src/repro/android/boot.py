@@ -124,9 +124,8 @@ def boot_android(system: "System", jit_enabled: bool = True) -> AndroidStack:
 
 # ---------------------------------------------------------------------------
 #
-# Boot-time behaviour factories are module-level classes (not closures) so
-# a freshly-booted, never-run system — the boot snapshot template — holds
-# only picklable state.
+# Boot-time behaviour factories: plain callables the kernel invokes with
+# the spawned task to get the thread's op generator.
 
 
 class _DaemonMain:

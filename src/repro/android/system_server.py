@@ -43,25 +43,12 @@ class SystemServerHandle:
     activities_started: int = field(default=0)
 
 
-def server_method_table(seed: int) -> MethodTable:
-    """system_server's framework method catalog for one boot seed.
-
-    Deterministic in *seed* (including the generator state the table
-    keeps for runtime ``pick_batch`` draws), so the boot-snapshot seed
-    delta can regenerate it instead of serialising it into the
-    seed-independent level-1 template.
-    """
-    return MethodTable.generate_cached(
-        seed=seed ^ 0x5E41, prefix="android.server", count=140, avg_bytecodes=360
-    )
-
-
 class _ServerMain:
     """ActivityManager's home thread loop.
 
     ``handle`` is attached after construction (the handle needs the
-    forked process, which needs this behaviour first).  Module-level so
-    a pre-run system_server pickles into a boot snapshot.
+    forked process, which needs this behaviour first).  The generator
+    body reads it only once the thread first runs.
     """
 
     def __init__(self) -> None:
@@ -86,7 +73,9 @@ def boot_system_server(
 ) -> SystemServerHandle:
     """Fork and populate system_server."""
     kernel = system.kernel
-    methods = server_method_table(system.seed)
+    methods = MethodTable.generate_cached(
+        seed=system.seed ^ 0x5E41, prefix="android.server", count=140, avg_bytecodes=360
+    )
     main = _ServerMain()
     proc, ctx = zygote.fork_dalvik(
         "system_server",
@@ -212,7 +201,7 @@ class _ServiceImpls:
 
 
 class _SmallService:
-    """A tiny registry-backed service handler (picklable)."""
+    """A tiny registry-backed service handler."""
 
     def __init__(self, handle: SystemServerHandle) -> None:
         self.handle = handle

@@ -66,9 +66,12 @@ class SpecModel:
     #: ``calibrate`` runs its real algorithm from ``self.seed`` alone
     #: (none consume ``self.rng``), and :class:`IterationProfile` is
     #: frozen, so sharing one result across model instances is
-    #: observably identical to recalibrating — and calibration kernels
-    #: range from milliseconds (specrand) to seconds (sjeng), which
-    #: otherwise recur on every point of a seed sweep.
+    #: observably identical to recalibrating.  The key is the bench
+    #: seed, which a seed sweep changes on every point, so the memo
+    #: hits only when one process runs the same (bench, seed) under
+    #: several non-seed variants (JIT on/off, window length, a
+    #: calibration override) — e.g. a JIT ablation would otherwise
+    #: recalibrate sjeng, a multi-second kernel, once per JIT value.
     _profiles: "dict[tuple, IterationProfile]" = {}
     _PROFILES_MAX = 512
 

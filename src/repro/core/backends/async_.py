@@ -35,7 +35,6 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
-from repro.core import snapshots
 from repro.core.backends.base import (
     BackendError,
     BatchProgress,
@@ -207,11 +206,7 @@ class AsyncBackend:
         in_flight_futures: set = set()
         futures_lock = threading.Lock()
 
-        # Same worker-store seeding as the process backend: workers
-        # share disk-tier templates and keep exact per-host accounting.
-        pool = ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=snapshots.seed_worker_store
-        )
+        pool = ProcessPoolExecutor(max_workers=self.jobs)
         completer = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="async-complete"
         )

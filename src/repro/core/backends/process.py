@@ -19,7 +19,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import TYPE_CHECKING, Sequence, TypeVar
 
-from repro.core import snapshots
 from repro.core.backends.base import (
     BackendError,
     BatchProgress,
@@ -82,14 +81,7 @@ class ProcessPoolBackend:
         if not batch:
             return []
         results: list[RunResult | None] = [None] * len(batch)
-        # Workers sync their snapshot store with REPRO_SNAPSHOTS at
-        # spawn: a disk-backed store is shared through the directory, a
-        # fork-inherited memory store keeps its templates but starts a
-        # fresh counter session (so per-host boot accounting stays exact).
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(batch)),
-            initializer=snapshots.seed_worker_store,
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(batch))) as pool:
             futures = {
                 pool.submit(_timed_worker, bench_id, cfg): index
                 for index, (bench_id, cfg) in enumerate(batch)

@@ -31,7 +31,6 @@ from repro.calibration import (
     calibration_preset,
     profile_cpu_count,
 )
-from repro.core import snapshots
 from repro.core.results import ResultCache, RunResult
 from repro.core.runner import Reducer, RunConfig, dedup_ids, execute_with_cache
 from repro.core.suite import get_benchmark
@@ -496,32 +495,6 @@ class SweepResult:
             return cls.from_json_dict(json.load(fh))
 
 
-def snapshot_execution_order(points: "Sequence[SweepPoint]") -> list[int]:
-    """Indices of *points* grouped by boot-snapshot key, two levels deep.
-
-    Points sharing a seed-independent level-1 key (one boot) run
-    adjacently, and within that slice points sharing a full level-2 key
-    (one seed's template) run back to back.  Grouping is stable: keys
-    appear in first-occurrence order and points within a group keep
-    their relative grid order, so the reordering is deterministic.
-    Running a level-1 group's points consecutively means the stack boots
-    once and then serves every seed and duration variant of that
-    configuration while still warm — the sweep-level analogue of zygote
-    forking every app of a session from one warm image.
-    """
-    groups: dict[str, dict[str, list[int]]] = {}
-    for index, point in enumerate(points):
-        l1 = snapshots.level1_key(point.config)
-        l2 = snapshots.snapshot_key(point.bench_id, point.config)
-        groups.setdefault(l1, {}).setdefault(l2, []).append(index)
-    return [
-        index
-        for by_level2 in groups.values()
-        for indices in by_level2.values()
-        for index in indices
-    ]
-
-
 #: Sweep progress callback: ``(point, elapsed_seconds, result)`` with
 #: ``elapsed=None`` for cache hits, mirroring the suite-level convention.
 SweepProgress = Callable[[SweepPoint, "float | None", RunResult], None]
@@ -533,11 +506,11 @@ class MaterializingReducer(Reducer):
     Materialisation is just one reduction among several: this one keeps
     every cell (so it is O(grid) memory, exactly as before the reducer
     seam existed), while a fleet's :class:`~repro.core.stats.SketchSet`
-    reduction keeps O(metrics).  Cells arrive in *execution* order —
-    snapshot-grouped, or async completion order racing ahead — and
-    :meth:`finish` re-emits them in canonical grid order, so the
-    resulting JSON is byte-identical to the historical non-streamed
-    output whatever order execution took.
+    reduction keeps O(metrics).  Cells arrive in completion order —
+    cache hits first, or an async pool racing ahead — and :meth:`finish`
+    re-emits them in canonical grid order, so the resulting JSON is
+    byte-identical to the historical non-streamed output whatever order
+    execution took.
     """
 
     def __init__(
@@ -640,38 +613,21 @@ class SweepRunner:
     ) -> "list[RunResult] | None":
         """Execute owned points (cache hits skip simulation).
 
-        With boot snapshots enabled, points execute grouped by template
-        key (stable first-occurrence order) so one boot serves a whole
-        duration/settle slice back to back.  Only the *execution* order
-        changes — retained results are put back in *owned* (grid) order
-        before returning, so output bytes match the ungrouped run
-        exactly.  Progress and reducer callbacks fire in execution
-        order, as they do for cache hits.
-
-        With *retain_results* off, returns ``None`` and holds no
-        reference to any result once the reducer has consumed it.
+        Returns one result per point in *owned* order.  Progress and
+        reducer callbacks fire as units complete.  With *retain_results*
+        off, returns ``None`` and holds no reference to any result once
+        the reducer has consumed it.
         """
-        order = list(range(len(owned)))
-        if snapshots.snapshots_enabled():
-            order = snapshot_execution_order(owned)
-        executed = [owned[index] for index in order]
-
-        ordered = execute_with_cache(
+        return execute_with_cache(
             self.backend,
             self.cache,
-            [(point.bench_id, point.config) for point in executed],
-            labels=[point.label for point in executed],
-            units=executed,
+            [(point.bench_id, point.config) for point in owned],
+            labels=[point.label for point in owned],
+            units=owned,
             progress=progress,
             reducer=reducer,
             retain_results=retain_results,
         )
-        if ordered is None:
-            return None
-        results: "list[RunResult | None]" = [None] * len(owned)
-        for position, index in enumerate(order):
-            results[index] = ordered[position]
-        return results
 
     # ------------------------------------------------------------------
     # Stage 3: reduce (wired end-to-end)

@@ -20,7 +20,7 @@ if TYPE_CHECKING:
 
 
 class GcThread:
-    """A process's GC thread (picklable behaviour factory)."""
+    """A process's GC thread (behaviour factory)."""
 
     def __init__(self, ctx: DalvikContext) -> None:
         self.ctx = ctx
@@ -57,7 +57,7 @@ def gc_thread(ctx: DalvikContext) -> GcThread:
 
 
 class HeapWorkerThread:
-    """HeapWorker (finalisers, ref enqueueing) — picklable factory."""
+    """HeapWorker (finalisers, ref enqueueing) — behaviour factory."""
 
     def __init__(self, ctx: DalvikContext) -> None:
         self.ctx = ctx
@@ -78,7 +78,7 @@ def heap_worker_thread(ctx: DalvikContext) -> HeapWorkerThread:
 
 
 class IdleVmThread:
-    """Near-idle VM threads (Signal Catcher, JDWP) — picklable factory.
+    """Near-idle VM threads (Signal Catcher, JDWP) — behaviour factory.
 
     They exist for the paper's thread-count claims and park immediately
     after a tiny startup burst.

@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 
 
 class CompilerThread:
-    """A process's Compiler thread (picklable behaviour factory)."""
+    """A process's Compiler thread (behaviour factory)."""
 
     def __init__(self, ctx: DalvikContext) -> None:
         self.ctx = ctx

@@ -33,31 +33,6 @@ class JavaMethod:
             raise ValueError(f"method {self.name!r} has no bytecodes")
 
 
-# Compact pickle state for the frozen slotted dataclass.  Assigned after
-# class creation because @dataclass(frozen=True, slots=True) installs its
-# own (slower, per-slot-dict) __getstate__/__setstate__ on the rebuilt
-# class; method tables put hundreds of these in every boot snapshot.
-def _method_getstate(self: JavaMethod) -> tuple:
-    return (
-        self.name, self.bytecodes, self.heap_refs,
-        self.stack_refs, self.linear_refs, self.alloc_bytes,
-    )
-
-
-def _method_setstate(self: JavaMethod, state: tuple) -> None:
-    _set = object.__setattr__
-    _set(self, "name", state[0])
-    _set(self, "bytecodes", state[1])
-    _set(self, "heap_refs", state[2])
-    _set(self, "stack_refs", state[3])
-    _set(self, "linear_refs", state[4])
-    _set(self, "alloc_bytes", state[5])
-
-
-JavaMethod.__getstate__ = _method_getstate  # type: ignore[method-assign]
-JavaMethod.__setstate__ = _method_setstate  # type: ignore[attr-defined]
-
-
 def make_method(
     name: str,
     bytecodes: int,
@@ -124,8 +99,13 @@ class MethodTable:
     ) -> "MethodTable":
         """:meth:`generate`, memoised on the full argument tuple.
 
-        Tables are regenerated on every boot-snapshot seed delta and on
-        every app launch, so the draw loop shows up hot in seed sweeps.
+        Every boot builds system_server's table and every app launch
+        builds the app's.  The seed argument derives from the bench
+        seed, which a seed sweep changes on every point, so the memo
+        hits only when one process runs the same (bench, seed) under
+        several non-seed variants (JIT on/off, window length, a
+        calibration override).
+
         The population is observably a pure function of the arguments:
         the :class:`JavaMethod` instances are frozen (safe to share
         between tables) and the returned table's generator state equals

@@ -1,9 +1,10 @@
 """Fault injection: deterministic, cache-keyed fault plans.
 
 See :mod:`repro.faults.plan` for the plan vocabulary and the
-``FAULT_PLANS`` registry, :mod:`repro.faults.injector` for execution,
-and :mod:`repro.faults.runtime` for the ambient-injector global the
-engine and binder consult.
+``FAULT_PLANS`` registry, and :mod:`repro.faults.injector` for
+execution: an armed injector hangs off its
+:class:`~repro.sim.system.System` as ``system.faults``, where the engine
+and binder threads consult it.
 """
 
 from repro.faults.injector import (
@@ -20,7 +21,6 @@ from repro.faults.plan import (
     fault_plan,
     plan_names,
 )
-from repro.faults.runtime import activate, active_injector, deactivate
 
 __all__ = [
     "COUNTER_KEYS",
@@ -30,10 +30,7 @@ __all__ = [
     "FaultPlan",
     "ThreadKill",
     "ThrottleWindow",
-    "activate",
-    "active_injector",
     "channel_rng",
-    "deactivate",
     "fault_plan",
     "plan_names",
 ]

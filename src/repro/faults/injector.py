@@ -1,8 +1,10 @@
 """The fault injector: turns a :class:`FaultPlan` into engine events.
 
-Armed by the runner after the pre-settle checkpoint and the settle
-window, so faults only ever fire inside the measurement window and
-boot-snapshot templates stay fault-free.  Every probabilistic draw comes
+Armed by the runner after boot and settle, so faults only ever fire
+inside the measurement window: a faulted run and its fault-free
+baseline share their boot and settle.  Arming attaches the injector to
+its system (``system.faults``), where the engine and binder threads
+find it; disarming detaches it.  Every probabilistic draw comes
 from an RNG stream derived from ``bench_seed`` mixed with a channel
 name, so the fault sequence is a pure function of ``(bench_id,
 RunConfig)`` — the same determinism contract the backends and caches
@@ -87,7 +89,8 @@ class FaultInjector:
         self._seq += 1
 
     def arm(self, window_start: int) -> None:
-        """Schedule the plan's events relative to the window start."""
+        """Schedule the plan's events relative to the window start and
+        attach to the system."""
         for kill in self.plan.thread_kills:
             self._push(window_start + millis(kill.at_ms), "kill", kill)
         for off in self.plan.evict_at_ms:
@@ -100,9 +103,12 @@ class FaultInjector:
                 window,
             )
         self.next_due = self._events[0][0] if self._events else None
+        self.system.faults = self
 
     def disarm(self) -> None:
-        """Drop pending events and undo any still-open throttle."""
+        """Detach from the system, drop pending events and undo any
+        still-open throttle."""
+        self.system.faults = None
         self._events.clear()
         self.next_due = None
         for index, saved in self._saved_tpi.items():

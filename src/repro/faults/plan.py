@@ -8,8 +8,9 @@ probabilistic draw from ``bench_seed`` so the same ``(bench_id, config)``
 reproduces the same fault sequence on any backend or host.
 
 All event offsets are milliseconds relative to the start of the
-measurement window: faults never fire during settle, so boot-snapshot
-templates stay shareable across plans.
+measurement window: faults never fire during boot or settle, so they
+perturb only the measured interval and a faulted cell shares its boot
+and settle with its fault-free baseline.
 """
 
 from __future__ import annotations

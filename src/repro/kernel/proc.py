@@ -152,7 +152,7 @@ class Kernel:
         """Bind (or replace) the main thread's behaviour and wake it."""
         task = proc.main_task
         self._bind_behavior(task, behavior)
-        if task.has_behavior and task.state is TaskState.SLEEPING:
+        if task.behavior is not None and task.state is TaskState.SLEEPING:
             task.make_runnable()
         return task
 
@@ -197,7 +197,7 @@ class Kernel:
         proc.tasks.append(task)
         self.threads_spawned += 1
         self._bind_behavior(task, behavior)
-        if task.has_behavior:
+        if task.behavior is not None:
             task.state = TaskState.RUNNABLE
             self.sched.enqueue(task)
         return task
@@ -238,7 +238,7 @@ class Kernel:
         task.spawn_time = self.system.clock.now
         proc.tasks.append(task)
         self._bind_behavior(task, behavior)
-        if task.has_behavior:
+        if task.behavior is not None:
             task.state = TaskState.RUNNABLE
             self.sched.enqueue(task)
         else:
@@ -250,11 +250,6 @@ class Kernel:
         if behavior is None:
             return
         if callable(behavior):
-            # Defer: the engine calls the factory at first dispatch.
-            # Generator construction has no side effects (the body only
-            # runs at the first ``next``), so lazy binding is observably
-            # identical — and a pre-run snapshot holds only picklable
-            # factories, never generator frames.
-            task.behavior_factory = behavior
+            task.behavior = behavior(task)
         else:
             task.behavior = behavior

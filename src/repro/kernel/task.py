@@ -14,7 +14,7 @@ so references issued before a forked child renames itself are attributed to
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import TaskError
 from repro.kernel.addrspace import AddressSpace
@@ -47,7 +47,6 @@ class Task:
         "process",
         "state",
         "behavior",
-        "behavior_factory",
         "stack_vma",
         "sched",
         "waitq",
@@ -80,11 +79,6 @@ class Task:
         self.process = process
         self.state = TaskState.NEW
         self.behavior = behavior
-        #: Deferred behaviour: a picklable callable the engine turns into
-        #: the generator at first dispatch.  Keeping the factory (not the
-        #: generator) until then means a system snapshotted before it runs
-        #: holds no live generator frames and stays picklable.
-        self.behavior_factory: "Callable[[Task], Iterator[Op]] | None" = None
         self.stack_vma = stack_vma
         self.sched = sched
         self.waitq: WaitQueue | None = None
@@ -111,40 +105,10 @@ class Task:
 
     # ------------------------------------------------------------------
 
-    def __getstate__(self) -> tuple:
-        # Compact tuple state, ordered exactly like ``__slots__``: boot
-        # snapshots carry every task of the booted roster, so per-slot
-        # dict state would be measurably slower to restore.  Unrolled
-        # (not a getattr loop) — restore cost is on the snapshot fast path.
-        return (
-            self.tid, self.name, self.process, self.state,
-            self.behavior, self.behavior_factory, self.stack_vma,
-            self.sched, self.waitq, self.wake_deadline,
-            self.spawn_time, self.exit_time, self.cpu_ticks,
-            self.affinity, self.last_cpu, self.nice, self.weight,
-            self.vruntime, self.quantum_used,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.tid, self.name, self.process, self.state,
-            self.behavior, self.behavior_factory, self.stack_vma,
-            self.sched, self.waitq, self.wake_deadline,
-            self.spawn_time, self.exit_time, self.cpu_ticks,
-            self.affinity, self.last_cpu, self.nice, self.weight,
-            self.vruntime, self.quantum_used,
-        ) = state
-
     @property
     def alive(self) -> bool:
         """True until the task's behaviour generator is exhausted."""
         return self.state is not TaskState.ZOMBIE
-
-    @property
-    def has_behavior(self) -> bool:
-        """True when the task has work: a live generator or a pending
-        factory the engine will materialise at first dispatch."""
-        return self.behavior is not None or self.behavior_factory is not None
 
     @property
     def is_kernel_thread(self) -> bool:

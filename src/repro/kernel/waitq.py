@@ -24,14 +24,6 @@ class WaitQueue:
         self.name = name
         self._waiters: deque[Task] = deque()
 
-    def __getstate__(self) -> tuple:
-        # Compact tuple state: boot snapshots carry one queue per binder
-        # pool, Dalvik context and device — cheaper than per-slot dicts.
-        return (self.name, self._waiters)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.name, self._waiters = state
-
     def __len__(self) -> int:
         return len(self._waiters)
 

@@ -50,9 +50,9 @@ if TYPE_CHECKING:
 DEFAULT_TIMEOUT = 10.0
 
 #: Environment handshake deduplicating the unreachable-service warning
-#: across a process pool (the ``REPRO_SNAPSHOTS`` pattern): the first
-#: process to find a URL down exports it here, and every worker spawned
-#: afterwards inherits the flag and skips its own copy of the warning.
+#: across a process pool: the first process to find a URL down exports
+#: it here, and every worker spawned afterwards inherits the flag and
+#: skips its own copy of the warning.
 ENV_WARNED = "REPRO_CACHE_DOWN_WARNED"
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import SchedulerError
-from repro.faults.runtime import active_injector
 from repro.kernel.task import TaskState
 from repro.sim.ops import Block, ExecBlock, Sleep, SleepUntil, Yield
 
@@ -111,7 +110,7 @@ class Engine:
         smp = len(slots) > 1
         # Fault injection: an armed injector exposes the tick of its
         # earliest pending event; no plan means one None comparison.
-        injector = active_injector()
+        injector = self.system.faults
         fault_due = injector.next_due if injector is not None else None
         # Budget stays integer-only in the hot loop: None means unbounded
         # (the old float("inf") mixed float comparisons into every pass).
@@ -172,15 +171,10 @@ class Engine:
             # CPUs interleave at block granularity.
             behavior = task.behavior
             if behavior is None:
-                factory = task.behavior_factory
-                if factory is None:
-                    kernel.reap_task(task)
-                    best.task = None
-                    best.next_at = now
-                    continue
-                # First dispatch: materialise the deferred behaviour.
-                task.behavior = behavior = factory(task)
-                task.behavior_factory = None
+                kernel.reap_task(task)
+                best.task = None
+                best.next_at = now
+                continue
             try:
                 op = next(behavior)
             except StopIteration:

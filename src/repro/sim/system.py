@@ -8,6 +8,7 @@ layered on by :func:`repro.android.boot.boot_android`.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from repro.calibration import CpuSpec, parse_cpu_profile
 from repro.kernel.kthreads import spawn_standard_kthreads
@@ -18,6 +19,9 @@ from repro.sim.devices import DeviceSet
 from repro.sim.engine import Engine
 from repro.sim.memprofiler import MemProfiler
 from repro.sim.ticks import Clock
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
 
 
 class System:
@@ -70,6 +74,12 @@ class System:
         self.kernel = Kernel(self)
         self.engine = Engine(self)
         self.fs = Filesystem(self.kernel, self.devices.storage)
+        #: The armed fault injector, if any.  Set by
+        #: :meth:`~repro.faults.injector.FaultInjector.arm` and cleared
+        #: by ``disarm``; the engine and binder threads consult it here,
+        #: so concurrent simulations in one process never see each
+        #: other's faults.
+        self.faults: FaultInjector | None = None
         self._booted = False
 
     def big_cpu(self, index: int = 0) -> int | None:

@@ -323,6 +323,60 @@ class TestCpuProfileMatrix:
 
 
 # ----------------------------------------------------------------------
+# (b3) Symmetric SMP matrix: a 4-core machine under the round-robin
+# policy, where threads of one app interleave across cores
+
+
+FAST_SMP = RunConfig(duration_ticks=millis(400), settle_ticks=millis(200),
+                     cpus=4)
+
+
+@pytest.fixture(scope="module")
+def serial_smp_bytes(tmp_path_factory) -> bytes:
+    """The reference: the serial backend's symmetric 4-core SuiteResult."""
+    suite = SuiteRunner(FAST_SMP, backend=SerialBackend()).run_suite(SUITE_IDS)
+    return _suite_bytes(suite, tmp_path_factory.mktemp("ref") / "smp.json")
+
+
+class TestSymmetricSmpMatrix:
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_smp_suite_byte_identical(self, name, serial_smp_bytes, tmp_path):
+        suite = SuiteRunner(FAST_SMP, backend=_make(name)).run_suite(SUITE_IDS)
+        assert _suite_bytes(suite, tmp_path / "out.json") == serial_smp_bytes
+
+    @pytest.mark.parametrize("inner", ("serial", "async"))
+    def test_smp_sharded_merge_byte_identical(
+        self, inner, serial_smp_bytes, tmp_path
+    ):
+        parts = [
+            SuiteRunner(
+                FAST_SMP, backend=ShardedBackend(k, 2, inner=_make(inner))
+            ).run_suite(SUITE_IDS)
+            for k in (1, 2)
+        ]
+        merged = SuiteResult()
+        for bench_id in SUITE_IDS:
+            for part in parts:
+                if bench_id in part.runs:
+                    merged.add(part.runs[bench_id])
+        assert _suite_bytes(merged, tmp_path / "out.json") == serial_smp_bytes
+
+    def test_smp_cells_really_differ(self, serial_smp_bytes,
+                                     serial_suite_bytes, tmp_path):
+        """The row is not vacuous: four cores change the results, and
+        every run carries its per-CPU breakdown with more than one core
+        doing work."""
+        assert serial_smp_bytes != serial_suite_bytes
+        path = tmp_path / "smp.json"
+        path.write_bytes(serial_smp_bytes)
+        for run in SuiteResult.load(str(path)).runs.values():
+            assert run.cpus == 4
+            assert sorted(run.busy_ticks_by_cpu) == [0, 1, 2, 3]
+        music = SuiteResult.load(str(path)).get("music.mp3.view")
+        assert sum(1 for ticks in music.busy_ticks_by_cpu.values() if ticks) > 1
+
+
+# ----------------------------------------------------------------------
 # (c) Full-suite acceptance: async vs serial over all 25 benchmarks
 
 
@@ -506,189 +560,11 @@ class TestStreamingOverlap:
 
 
 # ----------------------------------------------------------------------
-# (f) Snapshot matrix: the boot-restore fast path must be invisible —
-# byte-identical output through every backend, core count and profile
-
-
-from repro.core import disable_snapshots, enable_snapshots
-
-#: The snapshot differential row: symmetric single-core, symmetric
-#: 4-core (round-robin policy) and the 2+2 big.LITTLE machine (CFS).
-SNAPSHOT_CONFIGS = {
-    "cpus1": FAST,
-    "cpus4": RunConfig(duration_ticks=millis(400), settle_ticks=millis(200),
-                       cpus=4),
-    "biglittle": FAST_BIGLITTLE,
-}
-
-
-@pytest.fixture(scope="module")
-def snapshot_refs(tmp_path_factory):
-    """Reference bytes per config, produced with snapshots OFF."""
-    disable_snapshots()
-    refs = {}
-    for label, cfg in SNAPSHOT_CONFIGS.items():
-        suite = SuiteRunner(cfg, backend=SerialBackend()).run_suite(SUITE_IDS)
-        refs[label] = _suite_bytes(
-            suite, tmp_path_factory.mktemp("snapref") / f"{label}.json"
-        )
-    return refs
-
-
-class TestSnapshotMatrix:
-    @pytest.fixture(autouse=True)
-    def _fresh_store(self):
-        """Each cell starts with a cold store and leaves snapshots off.
-
-        The process backend inherits the fast path through the
-        ``REPRO_SNAPSHOTS`` environment flag its spawned workers read,
-        so that row also covers per-worker store seeding.
-        """
-        disable_snapshots()
-        yield
-        disable_snapshots()
-
-    @pytest.mark.parametrize("label", sorted(SNAPSHOT_CONFIGS))
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_suite_byte_identical_with_snapshots(
-        self, name, label, snapshot_refs, tmp_path
-    ):
-        enable_snapshots()
-        suite = SuiteRunner(
-            SNAPSHOT_CONFIGS[label], backend=_make(name)
-        ).run_suite(SUITE_IDS)
-        assert _suite_bytes(suite, tmp_path / "out.json") == \
-            snapshot_refs[label]
-
-    def test_warm_run_still_byte_identical(self, snapshot_refs, tmp_path):
-        """Second suite through an already-warm store: every boot is a
-        restore, and the bytes still match the snapshot-less reference."""
-        store = enable_snapshots()
-        SuiteRunner(FAST, backend=SerialBackend()).run_suite(SUITE_IDS)
-        assert store.misses == len(SUITE_IDS) and store.hits == 0
-        suite = SuiteRunner(FAST, backend=SerialBackend()).run_suite(SUITE_IDS)
-        assert store.hits == len(SUITE_IDS)
-        assert _suite_bytes(suite, tmp_path / "out.json") == \
-            snapshot_refs["cpus1"]
-
-    def test_duration_sweep_shares_one_template_per_bench(self, tmp_path):
-        """Duration-only axes map every cell of one benchmark to a single
-        template: the sweep driver groups execution by snapshot key, and
-        the store reports one miss plus N-1 hits per benchmark while the
-        saved bytes stay equal to the snapshot-less reference."""
-        spec = SweepSpec(
-            benches=("countdown.main", "999.specrand"),
-            axes=(SweepAxis("duration", (0.25, 0.5, 1.0)),),
-            base=FAST,
-        )
-        disable_snapshots()
-        ref = _sweep_bytes(
-            SweepRunner(backend=SerialBackend()).run(spec), tmp_path / "r.json"
-        )
-        store = enable_snapshots()
-        out = _sweep_bytes(
-            SweepRunner(backend=SerialBackend()).run(spec), tmp_path / "o.json"
-        )
-        assert out == ref
-        assert len(store) == 2                   # one template per benchmark
-        assert store.misses == 2 and store.hits == 4
-
-
-# ----------------------------------------------------------------------
-# (g) Shared-disk-store matrix: a REPRO_SNAPSHOTS directory shared by
-# every worker process must stay invisible in the bytes while cutting
-# boots to one per level-1 template per host — not workers x templates.
-
-
-from repro.core.snapshots import aggregate_disk_stats  # noqa: E402
-
-#: A boot-heavy seed-axis grid: every cell is a distinct level-2 key,
-#: but all four share one seed-independent level-1 boot.
-SEED_SWEEP_SPEC = SweepSpec(
-    benches=("999.specrand",),
-    axes=(SweepAxis("seed", (1, 2, 3, 4)),),
-    base=FAST,
-)
-
-
-class TestSnapshotDiskMatrix:
-    @pytest.fixture(autouse=True)
-    def _snapshots_off(self):
-        disable_snapshots()
-        yield
-        disable_snapshots()
-
-    def _prepopulate(self, root: str) -> None:
-        """Fill the disk store from a separate (serial) session, as a
-        prior run on the same host would have."""
-        enable_snapshots(root=root)
-        SuiteRunner(FAST, backend=SerialBackend()).run_suite(SUITE_IDS)
-        disable_snapshots()
-
-    @pytest.mark.parametrize("warmth", ("cold", "prepopulated"))
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_suite_byte_identical_through_disk_store(
-        self, name, warmth, snapshot_refs, tmp_path
-    ):
-        """Every backend, against a cold and a pre-populated shared
-        directory, reproduces the snapshot-less reference bytes."""
-        root = str(tmp_path / "snapstore")
-        if warmth == "prepopulated":
-            self._prepopulate(root)
-        enable_snapshots(root=root)
-        suite = SuiteRunner(FAST, backend=_make(name)).run_suite(SUITE_IDS)
-        assert _suite_bytes(suite, tmp_path / "out.json") == \
-            snapshot_refs["cpus1"]
-        # The whole suite shares one boot-relevant config, hence one
-        # level-1 template: exactly one boot ever happens against this
-        # directory — by whichever process got there first — and a
-        # pre-populated store adds zero more.
-        assert aggregate_disk_stats(root)["boots"] == 1
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_seed_sweep_boots_once_not_per_worker(self, name, tmp_path):
-        """The seed axis defeats level-2 sharing (each seed is its own
-        template) but not the disk store's level-1 tier: a multi-worker
-        sweep still boots exactly once per host, and twice the workers
-        do not mean twice the boots."""
-        disable_snapshots()
-        ref = _sweep_bytes(
-            SweepRunner(backend=SerialBackend()).run(SEED_SWEEP_SPEC),
-            tmp_path / "ref.json",
-        )
-        root = str(tmp_path / "snapstore")
-        enable_snapshots(root=root)
-        out = _sweep_bytes(
-            SweepRunner(backend=_make(name)).run(SEED_SWEEP_SPEC),
-            tmp_path / "out.json",
-        )
-        assert out == ref
-        stats = aggregate_disk_stats(root)
-        assert stats["boots"] == 1               # == level-1 templates
-        assert stats["seed_deltas"] >= len(SEED_SWEEP_SPEC.axes[0].values) - 1
-
-    def test_second_session_restores_from_disk(
-        self, snapshot_refs, tmp_path
-    ):
-        """A later process (fresh store, same directory) serves every
-        template from disk: zero boots, nonzero disk hits, same bytes."""
-        root = str(tmp_path / "snapstore")
-        self._prepopulate(root)
-        store = enable_snapshots(root=root)
-        suite = SuiteRunner(FAST, backend=SerialBackend()).run_suite(SUITE_IDS)
-        assert store.boots == 0
-        assert store.disk_hits >= 1
-        assert aggregate_disk_stats(root)["boots"] == 1
-        assert _suite_bytes(suite, tmp_path / "out.json") == \
-            snapshot_refs["cpus1"]
-
-
-# ----------------------------------------------------------------------
-# (h) Fault matrix: an armed fault plan is part of the purity contract.
+# (f) Fault matrix: an armed fault plan is part of the purity contract.
 # Faults draw from RNG streams derived from the bench seed, so a run is
 # still a pure function of (bench_id, RunConfig) — the same plan must
-# serialise byte-identically through every backend, cache state, shard
-# merge, and the snapshot restore path.
+# serialise byte-identically through every backend, cache state and
+# shard merge.
 
 
 from repro.faults import fault_plan  # noqa: E402
@@ -761,28 +637,6 @@ class TestFaultMatrix:
         merged.merge(shards[1])
         assert _sweep_bytes(merged, tmp_path / "out.json") == \
             serial_fault_sweep_bytes
-
-    def test_faulted_suite_through_snapshot_restore(
-        self, serial_faulted_suite_bytes, tmp_path
-    ):
-        """Faults fire inside the measurement window, after the settle
-        checkpoint, so a restored boot template replays them exactly:
-        the all-restores second session reproduces the reference bytes."""
-        disable_snapshots()
-        try:
-            store = enable_snapshots()
-            SuiteRunner(
-                FAST_FAULTED, backend=SerialBackend()
-            ).run_suite(SUITE_IDS)
-            assert store.misses == len(SUITE_IDS) and store.hits == 0
-            suite = SuiteRunner(
-                FAST_FAULTED, backend=SerialBackend()
-            ).run_suite(SUITE_IDS)
-            assert store.hits == len(SUITE_IDS)
-            assert _suite_bytes(suite, tmp_path / "out.json") == \
-                serial_faulted_suite_bytes
-        finally:
-            disable_snapshots()
 
     def test_fault_cells_really_differ(self):
         """The matrix is not vacuous: a chaos cell diverges from its

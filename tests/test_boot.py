@@ -1,8 +1,11 @@
 """Full Android boot: the process roster and service wiring."""
 
+import inspect
+
 import pytest
 
 from repro.android.boot import boot_android
+from repro.kernel.task import TaskState
 from repro.sim.system import System
 from repro.sim.ticks import millis, seconds
 
@@ -112,3 +115,17 @@ def test_boot_is_deterministic():
         return sorted(system.profiler.refs_by_thread.items())
 
     assert roster(21) == roster(21)
+
+
+def test_boot_binds_every_runnable_task():
+    """Before the first tick, every task boot made runnable already
+    holds its behaviour generator, and the few tasks without one
+    (swapper and the idle kernel helpers) sleep off the run queue."""
+    system = System(seed=21)
+    boot_android(system)
+    tasks = [t for p in system.kernel.live_processes() for t in p.live_tasks()]
+    runnable = [t for t in tasks if t.state is TaskState.RUNNABLE]
+    assert len(runnable) >= 50
+    assert all(inspect.isgenerator(t.behavior) for t in runnable)
+    unbound = [t for t in tasks if t.behavior is None]
+    assert unbound and all(t.state is TaskState.SLEEPING for t in unbound)

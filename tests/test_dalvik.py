@@ -116,11 +116,25 @@ def test_dalvik_context_lookup(dalvik_proc):
 # ---------------------------------------------------------------------------
 # MethodTable
 
-def test_method_table_deterministic():
-    a = MethodTable.generate(seed=7, prefix="x")
-    b = MethodTable.generate(seed=7, prefix="x")
-    assert [m.name for m in a.methods] == [m.name for m in b.methods]
-    assert [m.bytecodes for m in a.methods] == [m.bytecodes for m in b.methods]
+@pytest.mark.parametrize("build", ("generate", "cached-cold", "cached-warm"))
+def test_method_table_deterministic(build, monkeypatch):
+    """Every way of building a table yields the same methods and the
+    same runtime draws: ``generate`` twice, and ``generate_cached``
+    with its memo cold or warm."""
+    monkeypatch.setattr(MethodTable, "_generated", {})
+    ref = MethodTable.generate(seed=7, prefix="x")
+    if build == "generate":
+        table = MethodTable.generate(seed=7, prefix="x")
+    elif build == "cached-cold":
+        table = MethodTable.generate_cached(seed=7, prefix="x")
+    else:
+        first = MethodTable.generate_cached(seed=7, prefix="x")
+        first.pick_batch(32)  # must not advance the memoised state
+        table = MethodTable.generate_cached(seed=7, prefix="x")
+        assert table is not first and table.methods is not first.methods
+    assert [m.name for m in table.methods] == [m.name for m in ref.methods]
+    assert table.methods == ref.methods
+    assert table.pick_batch(32) == ref.pick_batch(32)
 
 
 def test_method_table_pick_batch_size():

@@ -8,6 +8,8 @@ The load-bearing contracts:
   config byte-identical;
 - every probabilistic draw derives from ``bench_seed``, so a faulted run
   is still a pure function of ``(bench_id, RunConfig)``;
+- the armed injector belongs to its own system, so concurrent runs in
+  one process never fire each other's faults;
 - the analysis layer can tell faults the stack absorbs from faults it
   amplifies.
 """
@@ -15,6 +17,8 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -32,7 +36,10 @@ from repro.core import (
     SweepRunner,
     SweepSpec,
 )
-from repro.core.runner import execute_one
+from repro.android.app import start_activity
+from repro.android.boot import boot_android
+from repro.core.runner import _prepared_system, bench_seed, execute_one
+from repro.core.suite import get_benchmark
 from repro.core.sweep import parse_axis
 from repro.errors import AnalysisError, ConfigError
 from repro.faults import (
@@ -45,6 +52,8 @@ from repro.faults import (
     fault_plan,
     plan_names,
 )
+from repro.faults.injector import FaultInjector
+from repro.sim.system import System
 from repro.sim.ticks import millis
 
 FAST = RunConfig(duration_ticks=millis(400), settle_ticks=millis(200))
@@ -185,6 +194,162 @@ class TestInjection:
         slow = execute_one("vlc.mp4.view", _faulted("throttle"))
         assert slow.fault_counters["throttle_events"] >= 1
         assert slow.total_refs < base.total_refs
+
+
+# ----------------------------------------------------------------------
+# Concurrency: the injector is per-system state, not a process global
+
+#: One cell per thread: three plans plus a fault-free run that must not
+#: fire anyone else's faults.  The 300 ms window covers every event of
+#: these plans, including the chaos plan's restart.
+THREADED_CELLS = (
+    ("vlc.mp4.view", "chaos"),
+    ("music.mp3.view", "binder-flaky"),
+    ("vlc.mp4.view", "sf-kill"),
+    ("doom.main", None),
+)
+
+
+def _threaded_config(plan: "str | None") -> RunConfig:
+    return RunConfig(
+        duration_ticks=millis(300),
+        settle_ticks=millis(100),
+        faults=fault_plan(plan) if plan is not None else None,
+    )
+
+
+def test_concurrent_runs_in_one_process_keep_their_own_faults():
+    """Four runs on four threads, switching every 10 us, each reproduce
+    the bytes of the same run done serially."""
+    cells = [(bench, _threaded_config(plan)) for bench, plan in THREADED_CELLS]
+    reference = [_bytes(execute_one(bench, cfg)) for bench, cfg in cells]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _round in range(3):
+            out: "list[bytes | Exception | None]" = [None] * len(cells)
+
+            def work(index: int) -> None:
+                try:
+                    out[index] = _bytes(execute_one(*cells[index]))
+                except Exception as exc:  # reported by the assert below
+                    out[index] = exc
+
+            threads = [
+                threading.Thread(target=work, args=(index,))
+                for index in range(len(cells))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            for (bench, cfg), got, want in zip(cells, out, reference):
+                plan = cfg.faults.name if cfg.faults else "none"
+                assert got == want, f"{bench} under {plan}: {got!r:.200}"
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _SlicedRun:
+    """One benchmark driven the way the runner drives it (boot, settle,
+    arm, launch), with the window advanced in caller-sized slices so a
+    test can interleave several systems in one thread."""
+
+    def __init__(self, bench_id: str, cfg: RunConfig) -> None:
+        spec = get_benchmark(bench_id)
+        self.system, stack, model = _prepared_system(spec, cfg)
+        self.system.run_for(cfg.settle_ticks)
+        self.injector = None
+        if cfg.faults is not None:
+            self.injector = FaultInjector(
+                cfg.faults, bench_seed(bench_id, cfg), self.system, stack
+            )
+            self.injector.arm(self.system.now)
+        if spec.is_android:
+            start_activity(stack, model, background=spec.background)
+        else:
+            model.launch(self.system)
+
+    def finish(self) -> tuple:
+        counters = None
+        if self.injector is not None:
+            counters = self.injector.counters()
+            self.injector.disarm()
+        profiler = self.system.profiler
+        return (
+            self.system.now,
+            sorted(profiler.refs_by_thread.items()),
+            sorted(profiler.instr_by_proc.items()),
+            counters,
+        )
+
+
+def _run_sliced(cells, slices: int = 30, step: int = millis(10)) -> list:
+    """Build every cell's run, then advance them round-robin, one slice
+    each per round; returns each run's final state."""
+    runs = [_SlicedRun(bench, cfg) for bench, cfg in cells]
+    for _ in range(slices):
+        for run in runs:
+            run.system.run_for(step)
+    return [run.finish() for run in runs]
+
+
+class TestInjectorOwnership:
+    def test_system_starts_with_no_injector(self):
+        system = System(seed=5)
+        assert system.faults is None
+        boot_android(system)
+        system.run_for(millis(50))
+        assert system.faults is None
+
+    def test_arm_attaches_to_its_system_and_disarm_detaches(self):
+        system = System(seed=5)
+        stack = boot_android(system)
+        injector = FaultInjector(fault_plan("chaos"), 5, system, stack)
+        injector.arm(system.now)
+        assert system.faults is injector
+        assert injector.next_due is not None
+        injector.disarm()
+        assert system.faults is None
+        assert injector.next_due is None
+
+    def test_arming_one_system_leaves_another_untouched(self):
+        armed, bystander = System(seed=5), System(seed=5)
+        stacks = [boot_android(armed), boot_android(bystander)]
+        injector = FaultInjector(fault_plan("chaos"), 5, armed, stacks[0])
+        injector.arm(armed.now)
+        assert armed.faults is injector
+        assert bystander.faults is None
+        bystander.run_for(millis(300))
+        assert bystander.faults is None
+        assert injector.counters() == dict.fromkeys(COUNTER_KEYS, 0)
+        injector.disarm()
+
+    def test_disarm_undoes_an_open_throttle(self):
+        system = System(seed=5, cpus=2)
+        stack = boot_android(system)
+        before = [cpu.ticks_per_inst for cpu in system.cpus]
+        injector = FaultInjector(fault_plan("throttle"), 5, system, stack)
+        injector.arm(system.now)
+        system.run_for(millis(120))           # inside the 80..280 ms window
+        assert [cpu.ticks_per_inst for cpu in system.cpus] == \
+            [tpi * 3 for tpi in before]
+        injector.disarm()
+        assert [cpu.ticks_per_inst for cpu in system.cpus] == before
+
+    @pytest.mark.parametrize("plan", plan_names())
+    def test_interleaved_systems_match_their_solo_runs(self, plan):
+        """A faulted system and a fault-free one, alternating 10 ms
+        slices in one thread, each end exactly where they end alone:
+        the engine and binder threads of each system see only that
+        system's injector."""
+        faulted = ("music.mp3.view", _threaded_config(plan))
+        healthy = ("doom.main", _threaded_config(None))
+        solo = [_run_sliced([faulted])[0], _run_sliced([healthy])[0]]
+        assert sum(solo[0][3].values()) > 0    # the plan really fires
+        assert _run_sliced([faulted, healthy]) == solo
+        assert _run_sliced([healthy, faulted]) == solo[::-1]
 
 
 # ----------------------------------------------------------------------

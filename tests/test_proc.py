@@ -1,5 +1,7 @@
 """Kernel process/thread lifecycle: spawn, fork, clone, exit."""
 
+import inspect
+
 import pytest
 
 from repro.errors import TaskError
@@ -133,3 +135,84 @@ def test_find_process_by_comm(system):
     system.kernel.spawn_process("com.android.systemui")
     assert system.kernel.find_process("ndroid.systemui") is not None
     assert system.kernel.find_process("nonexistent") is None
+
+
+
+# ---------------------------------------------------------------------------
+# Behaviour binding: a callable behaviour is called at spawn, not deferred
+# to the task's first dispatch
+
+
+def _recording_factory(calls):
+    """A behaviour factory that logs each task it is called for."""
+    def loop():
+        while True:
+            yield Sleep(millis(10))
+
+    def factory(task):
+        calls.append(task)
+        return loop()
+
+    return factory
+
+
+def test_spawn_thread_binds_behavior_at_spawn(system):
+    proc = system.kernel.spawn_process("app")
+    calls = []
+    task = system.kernel.spawn_thread(proc, "worker", _recording_factory(calls))
+    assert calls == [task]
+    assert inspect.isgenerator(task.behavior)
+    assert task.state is TaskState.RUNNABLE
+
+
+def test_spawn_process_binds_main_behavior_at_spawn(system):
+    calls = []
+    proc = system.kernel.spawn_process("app", _recording_factory(calls))
+    assert calls == [proc.main_task]
+    assert inspect.isgenerator(proc.main_task.behavior)
+    assert proc.main_task.state is TaskState.RUNNABLE
+
+
+def test_spawn_without_behavior_sleeps_unbound(system):
+    proc = system.kernel.spawn_process("idle-app")
+    assert proc.main_task.behavior is None
+    assert proc.main_task.state is TaskState.SLEEPING
+
+
+def test_set_main_behavior_binds_and_wakes(system):
+    proc = system.kernel.spawn_process("late-app")
+    calls = []
+    task = system.kernel.set_main_behavior(proc, _recording_factory(calls))
+    assert task is proc.main_task and calls == [task]
+    assert inspect.isgenerator(task.behavior)
+    assert task.state is TaskState.RUNNABLE
+
+
+def test_ready_made_generator_is_bound_as_is(system):
+    proc = system.kernel.spawn_process("app")
+    gen = _recording_factory([])(None)
+    task = system.kernel.spawn_thread(proc, "worker", gen)
+    assert task.behavior is gen
+    assert task.state is TaskState.RUNNABLE
+
+
+def test_factory_runs_once_per_task(system):
+    """Dispatching a bound task resumes its generator; the factory is
+    never called a second time."""
+    proc = system.kernel.spawn_process("app")
+    calls, wakeups = [], []
+
+    def factory(task):
+        calls.append(task)
+
+        def loop():
+            while True:
+                yield Sleep(millis(10))
+                wakeups.append(system.now)
+
+        return loop()
+
+    task = system.kernel.spawn_thread(proc, "worker", factory)
+    system.run_for(millis(35))
+    assert calls == [task]
+    assert len(wakeups) == 3 and task.alive

@@ -245,3 +245,21 @@ def test_calibrations_produce_profiles():
     ):
         profile = model_cls(seed=1).profile
         assert profile.insts > 0
+
+
+@pytest.mark.parametrize("model_name", (
+    "Bzip2Model", "HmmerModel", "LibquantumModel", "McfModel", "SpecrandModel",
+))
+def test_memoised_profile_equals_direct_calibration(model_name, monkeypatch):
+    """A second model with the same seed is served from the calibration
+    memo, and what it gets equals a fresh, unmemoised ``calibrate()``."""
+    import repro.apps.spec as spec_models
+    from repro.apps.spec.base import SpecModel
+
+    model_cls = getattr(spec_models, model_name)
+    monkeypatch.setattr(SpecModel, "_profiles", {})
+    first = model_cls(seed=11).profile
+    assert (model_cls, 11) in SpecModel._profiles
+    second = model_cls(seed=11).profile
+    assert second is first
+    assert second == model_cls(seed=11).calibrate()
