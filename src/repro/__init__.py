@@ -42,12 +42,10 @@ from repro.core import (
     AsyncBackend,
     BenchmarkSpec,
     ExecutionBackend,
-    ProcessPoolBackend,
     ResultCache,
     RunConfig,
     RunResult,
     SerialBackend,
-    ShardedBackend,
     SuiteResult,
     SuiteRunner,
     SweepAxis,
@@ -71,13 +69,11 @@ __all__ = [
     "CpuSpec",
     "ExecutionBackend",
     "FIGURE_ORDER",
-    "ProcessPoolBackend",
     "ResultCache",
     "RunConfig",
     "RunResult",
     "SPEC_IDS",
     "SerialBackend",
-    "ShardedBackend",
     "SuiteResult",
     "SuiteRunner",
     "SweepAxis",

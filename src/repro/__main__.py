@@ -30,17 +30,18 @@ Usage (installed as ``agave-repro`` or ``python -m repro``)::
     python -m repro sweep --axis seed=1,2 --cache .local \\
         --cache-url http://cachehost:8750
 
-Execution flags (``--jobs``, ``--backend``, ``--window``, ``--cache``,
-``--progress``) apply wherever benchmarks may actually run: ``suite``,
-``sweep``, and any artifact command invoked without ``--results``.
-``--backend async`` overlaps result I/O (cache writes, progress) with
-in-flight simulations; its in-flight window adapts to observed result
-sizes unless pinned with ``--window``.  ``--cpus`` selects the simulated
-core count everywhere (``cpus=1`` stays byte-identical to the pre-SMP
-engine, hitting the same cache keys).  ``--shard`` is for ``suite`` and
-``sweep`` only — their outputs can be merged back together — never for
-figures/tables/claims/smp, which over a partial suite would be silently
-wrong.
+Execution flags (``--jobs``, ``--cache``, ``--progress``) apply wherever
+benchmarks may actually run: ``suite``, ``sweep``, ``fleet``, and any
+artifact command invoked without ``--results``.  ``--jobs 1`` (the
+default) runs every unit in this process; ``--jobs N`` with N > 1
+streams units through a pool of N worker processes, overlapping result
+I/O (cache writes, progress) with in-flight simulations.  Both produce
+byte-identical results.  ``--cpus`` selects the simulated core count
+everywhere (``cpus=1`` stays byte-identical to the pre-SMP engine,
+hitting the same cache keys).  ``--shard`` is for ``suite``, ``sweep``
+and ``fleet`` only — their outputs can be merged back together — never
+for figures/tables/claims/smp, which over a partial suite would be
+silently wrong.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import Callable
 
 from repro.analysis import (
@@ -73,7 +75,6 @@ from repro.analysis.smp import smp_rows
 from repro.analysis.sweep import METRICS, resolve_metric, sweep_tables
 from repro.analysis.fleet import render_fleet_report
 from repro.core import (
-    BACKEND_NAMES,
     FleetResult,
     FleetSpec,
     ProgressMeter,
@@ -89,6 +90,7 @@ from repro.core import (
     make_backend,
     parse_axis,
     parse_mix,
+    parse_shard,
     run_fleet,
 )
 from repro.calibration import profile_cpu_count
@@ -125,25 +127,20 @@ def _config(args: argparse.Namespace) -> RunConfig:
 def _add_exec_flags(
     parser: argparse.ArgumentParser, sharding: bool = False
 ) -> None:
-    """Execution-backend knobs, shared by every command that may run.
+    """Execution knobs, shared by every command that may run.
 
     ``--shard`` is only offered where a partial result is meaningful
-    (``suite`` and ``sweep``, whose output files can be merged);
-    artifact commands would silently draw paper-level conclusions from
-    a fraction of the benchmarks.
+    (``suite``, ``sweep`` and ``fleet``, whose output files can be
+    merged); artifact commands would silently draw paper-level
+    conclusions from a fraction of the benchmarks.
     """
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (N>1 implies --backend process)")
-    parser.add_argument("--backend", choices=BACKEND_NAMES,
-                        help="execution backend (default: serial, or "
-                             "process when --jobs > 1)")
+                        help="1 (default) runs every unit in this process; "
+                             "N > 1 streams units through a pool of N "
+                             "worker processes (same results either way)")
     if sharding:
         parser.add_argument("--shard", metavar="K/N",
                             help="run only the K-th of N deterministic shards")
-    parser.add_argument("--window", type=int, metavar="N",
-                        help="async backend: pin the in-flight window to N "
-                             "units (default: adaptive, sized from observed "
-                             "result sizes)")
     parser.add_argument("--cache", metavar="DIR",
                         help="content-addressed result cache directory")
     parser.add_argument("--cache-url", metavar="URL",
@@ -180,13 +177,18 @@ def _make_cache(args: argparse.Namespace):
     )
 
 
+def _shard(args: argparse.Namespace) -> "tuple[int, int] | None":
+    """``--shard K/N`` as ``(k, n)``; None when absent or not offered."""
+    text = getattr(args, "shard", None)
+    return parse_shard(text) if text else None
+
+
 def _make_runner(args: argparse.Namespace) -> SuiteRunner:
     return SuiteRunner(
         _config(args),
-        backend=make_backend(args.backend, jobs=args.jobs,
-                             shard=getattr(args, "shard", None),
-                             window=args.window),
+        backend=make_backend(args.jobs),
         cache=_make_cache(args),
+        shard=_shard(args),
     )
 
 
@@ -267,10 +269,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ids = args.bench or [spec.bench_id for spec in benchmarks()]
     spec = SweepSpec(benches=tuple(ids), axes=axes, base=_config(args))
     runner = SweepRunner(
-        backend=make_backend(args.backend, jobs=args.jobs,
-                             shard=getattr(args, "shard", None),
-                             window=args.window),
+        backend=make_backend(args.jobs),
         cache=_make_cache(args),
+        shard=_shard(args),
     )
     result = runner.run(
         spec,
@@ -306,9 +307,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         ids = args.bench or ["vlc.mp4.view"]
         spec = SweepSpec(benches=tuple(ids), axes=axes, base=_config(args))
         runner = SweepRunner(
-            backend=make_backend(args.backend, jobs=args.jobs,
-                                 window=args.window),
-            cache=_make_cache(args),
+            backend=make_backend(args.jobs), cache=_make_cache(args)
         )
         result = runner.run(
             spec,
@@ -381,24 +380,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             else ((None, 1.0),)
         ),
     )
-    # A fleet is the streaming path par excellence: default to the async
-    # backend whenever parallelism is requested, so sketches fold in
-    # while later units still simulate.
-    backend_name = args.backend
-    if backend_name is None and args.jobs > 1:
-        backend_name = "async"
-    backend = make_backend(backend_name, jobs=args.jobs,
-                           shard=getattr(args, "shard", None),
-                           window=args.window)
-    progress = None
+    make_progress = None
     if args.progress:
-        units_total = len(backend.plan_batch(spec.units()))
-        progress = ProgressMeter(units_total, every=args.progress_every)
+        make_progress = partial(ProgressMeter, every=args.progress_every)
     result = run_fleet(
         spec,
-        backend=backend,
+        backend=make_backend(args.jobs),
         cache=_make_cache(args),
-        progress=progress,
+        make_progress=make_progress,
+        shard=_shard(args),
     )
     if args.out:
         result.save(args.out)

@@ -1,17 +1,15 @@
-"""Pluggable execution backends for the suite runner.
+"""Execution backends for the suite, sweep and fleet runners.
 
-The runner orchestrates *which* benchmarks to run (dedup, cache lookups,
-result assembly); a backend decides *how* the cache misses execute:
+The runners orchestrate *which* benchmarks to run (dedup, shard
+planning, cache lookups, result assembly); a backend decides *how* the
+cache misses execute:
 
-- :class:`SerialBackend` — in-process, one at a time (default).
-- :class:`ProcessPoolBackend` — fan out across worker processes.
+- :class:`SerialBackend` — in-process, one at a time (``--jobs 1``).
 - :class:`AsyncBackend` — a process pool fed from a streaming
   orchestrator with a bounded in-flight window; result I/O (cache
-  writes, progress) overlaps in-flight simulations.
-- :class:`ShardedBackend` — deterministic K-of-N partition, wrapping
-  any of the above, for CI/fleet splits.
+  writes, progress) overlaps in-flight simulations (``--jobs N > 1``).
 
-``make_backend`` builds one from CLI-shaped arguments.
+``make_backend`` builds the one ``--jobs`` selects.
 """
 
 from __future__ import annotations
@@ -22,64 +20,31 @@ from repro.core.backends.base import (
     BatchProgress,
     ExecutionBackend,
     ProgressCallback,
-    StreamingBackend,
     WorkItem,
 )
-from repro.core.backends.process import ProcessPoolBackend
 from repro.core.backends.serial import SerialBackend
-from repro.core.backends.sharded import ShardedBackend, parse_shard, shard_ids
-
-#: CLI names of the selectable leaf backends.
-BACKEND_NAMES: tuple[str, ...] = (
-    SerialBackend.name,
-    ProcessPoolBackend.name,
-    AsyncBackend.name,
-)
+from repro.core.backends.sharded import parse_shard, shard_ids
+from repro.errors import ConfigError
 
 
-def make_backend(
-    name: str | None = None,
-    jobs: int = 1,
-    shard: "str | tuple[int, int] | None" = None,
-    window: int | None = None,
-) -> ExecutionBackend:
-    """Build a backend from CLI-shaped knobs.
+def make_backend(jobs: int = 1) -> ExecutionBackend:
+    """Serial for ``jobs == 1``, the async pool of *jobs* workers above.
 
-    *name* of ``None`` picks serial unless ``jobs > 1``.  A *shard* spec
-    (``"K/N"`` or ``(k, n)``) wraps the leaf backend in a
-    :class:`ShardedBackend`.  *window* pins the async backend's
-    in-flight bound (ignored by the others); ``None`` leaves it
-    adaptive, sized from observed result sizes.
+    Both produce byte-identical results, so the job count is the only
+    execution choice there is.
     """
-    if name is None:
-        name = ProcessPoolBackend.name if jobs > 1 else SerialBackend.name
-    if name == SerialBackend.name:
-        backend: ExecutionBackend = SerialBackend()
-    elif name == ProcessPoolBackend.name:
-        backend = ProcessPoolBackend(jobs=max(jobs, 1))
-    elif name == AsyncBackend.name:
-        backend = AsyncBackend(jobs=max(jobs, 1), window=window)
-    else:
-        raise BackendError(
-            f"unknown backend {name!r}; known: {', '.join(BACKEND_NAMES)}"
-        )
-    if shard is not None:
-        index, count = parse_shard(shard) if isinstance(shard, str) else shard
-        backend = ShardedBackend(index, count, inner=backend)
-    return backend
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    return SerialBackend() if jobs == 1 else AsyncBackend(jobs=jobs)
 
 
 __all__ = [
-    "BACKEND_NAMES",
     "AsyncBackend",
     "BackendError",
     "BatchProgress",
     "ExecutionBackend",
-    "ProcessPoolBackend",
     "ProgressCallback",
     "SerialBackend",
-    "ShardedBackend",
-    "StreamingBackend",
     "WorkItem",
     "make_backend",
     "parse_shard",

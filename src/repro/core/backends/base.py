@@ -1,17 +1,16 @@
 """The execution-backend contract.
 
-A backend owns *how* a batch of benchmark runs is executed — serially in
-this process, fanned out across worker processes, or restricted to a
-deterministic shard of the batch.  It does not own *what* a run does:
-every backend funnels through the same picklable
-:func:`repro.core.runner.execute_one`, so results are byte-identical
-regardless of backend or job count.
+A backend owns *how* a stream of benchmark runs is executed — serially in
+this process, or fanned out across a pool of worker processes.  It does
+not own *what* a run does: every backend funnels through the same
+picklable :func:`repro.core.runner.execute_one`, so results are
+byte-identical regardless of backend or job count.  Nor does it own
+*which* runs happen: cache lookups and shard ownership are planned by the
+runners before an item ever reaches a backend.
 
 The primitive unit of work is a :data:`WorkItem` — one ``(bench_id,
-config)`` pair.  ``execute_batch`` runs a heterogeneous batch (each item
-carries its own config, so a parameter sweep's points interleave freely
-in a process pool); ``execute`` is the single-config convenience the
-suite runner uses.
+config)`` pair.  Each item carries its own config, so a parameter sweep's
+points interleave freely in a pool.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    TypeVar,
     runtime_checkable,
 )
 
@@ -43,12 +41,11 @@ WorkItem = Tuple[str, "RunConfig"]
 #: (no simulation happened) — never conflate that with a fast run.
 ProgressCallback = Callable[[str, "float | None", "RunResult"], None]
 
-#: Batch-level callback: ``(index, elapsed_seconds, result)`` where
-#: *index* addresses the submitted batch (bench ids may repeat across a
-#: sweep's variants, so the position is the only unambiguous key).
+#: Stream-level callback: ``(index, elapsed_seconds, result)`` where
+#: *index* is the position at which the backend pulled the item (bench
+#: ids may repeat across a sweep's variants, so the position is the only
+#: unambiguous key).
 BatchProgress = Callable[[int, float, "RunResult"], None]
-
-_T = TypeVar("_T")
 
 
 class BackendError(ReproError):
@@ -68,103 +65,30 @@ def shortfall_error(
     )
 
 
-def execute_single_config(
-    backend: "ExecutionBackend",
-    bench_ids: Sequence[str],
-    cfg: "RunConfig",
-    on_result: ProgressCallback | None = None,
-) -> "list[RunResult]":
-    """Adapt a single-config id list onto ``execute_batch``.
-
-    The id-keyed :data:`ProgressCallback` is safe here because a
-    single-config batch cannot repeat a bench id meaningfully.
-    """
-    ids = list(bench_ids)
-    wrapped: BatchProgress | None = None
-    if on_result is not None:
-        wrapped = lambda i, secs, res: on_result(ids[i], secs, res)
-    return backend.execute_batch([(bid, cfg) for bid in ids], wrapped)
-
-
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """Executes a batch of benchmark runs.
+    """Executes a stream of benchmark runs.
 
-    ``plan``/``plan_batch`` declare ownership: the ordered subset of a
-    batch this backend is responsible for (sharded backends take their
-    slice; most backends own everything).  The orchestrator plans on the
-    *full* deduplicated batch — before cache filtering — so a shard
-    partition never shifts with cache contents; ``execute``/
-    ``execute_batch`` then run exactly the items they are given.
-
-    Implementations must preserve input order in the returned list,
-    invoke the completion callback exactly once per finished item, and
-    must derive all run state from the work item alone — no process
-    state may leak into results.
+    ``execute_stream`` pulls work items lazily and may begin executing
+    early items while the iterable is still producing later ones — the
+    hook :func:`~repro.core.runner.execute_with_cache` uses to overlap
+    per-unit cache lookups with in-flight simulation.  Each result is
+    reported exactly once, and only, through ``on_result``, indexed by
+    the item's consumption order; nothing is returned, so a backend
+    holds no result past its ``on_result`` call and a streaming
+    reduction runs in bounded memory however many units pass through.
+    ``on_result`` may be invoked concurrently with the calling thread,
+    so shared callbacks must synchronise.  All run state must derive
+    from the work item alone — no process state may leak into results.
     """
 
-    #: Short name used by the CLI (``--backend``) and the registry.
+    #: Short name used in error messages.
     name: str
-
-    def plan(self, bench_ids: Sequence[str]) -> list[str]:
-        """The ordered subset of *bench_ids* this backend owns."""
-        ...
-
-    def plan_batch(self, items: Sequence[_T]) -> list[_T]:
-        """The ordered subset of a work-item batch this backend owns.
-
-        Generic over the item type: planning only ever selects and
-        orders, so callers may pass richer point objects and get the
-        same objects back.
-        """
-        ...
-
-    def execute(
-        self,
-        bench_ids: Sequence[str],
-        cfg: "RunConfig",
-        on_result: ProgressCallback | None = None,
-    ) -> "list[RunResult]":
-        """Run every id in *bench_ids* under one config, in id order."""
-        ...
-
-    def execute_batch(
-        self,
-        items: "Sequence[tuple[str, RunConfig]]",
-        on_result: BatchProgress | None = None,
-    ) -> "list[RunResult]":
-        """Run every ``(bench_id, config)`` item, in submission order."""
-        ...
-
-
-@runtime_checkable
-class StreamingBackend(ExecutionBackend, Protocol):
-    """A backend that can consume its batch lazily (optional capability).
-
-    ``execute_stream`` accepts an *iterable* of work items and may begin
-    executing early items while the iterable is still producing later
-    ones — the hook :func:`~repro.core.runner.execute_with_cache` uses
-    to overlap per-unit cache lookups with in-flight simulation.  The
-    ``on_result`` index is the item's *consumption* order (the position
-    at which the backend pulled it from the iterable), results come back
-    in that same order, and — unlike the batch methods — ``on_result``
-    may be invoked concurrently with the calling thread, so shared
-    callbacks must synchronise.
-
-    Implementations *may* additionally accept a keyword-only-style
-    ``collect: bool = True`` parameter: with ``collect=False`` the
-    backend must not retain any result past its ``on_result`` call and
-    returns an empty list, so a streaming *reduction* (fleet-scale
-    aggregation) runs in O(window) memory no matter how many units pass
-    through.  Callers probe for the parameter by signature
-    (:func:`~repro.core.runner._stream_supports_collect`) — a backend
-    without it simply materialises, which is correct, just not bounded.
-    """
 
     def execute_stream(
         self,
         items: "Iterable[tuple[str, RunConfig]]",
-        on_result: BatchProgress | None = None,
-    ) -> "list[RunResult]":
-        """Run every streamed item, results in consumption order."""
+        on_result: BatchProgress,
+    ) -> None:
+        """Run every streamed item, reporting each through *on_result*."""
         ...

@@ -1,27 +1,19 @@
-"""Deterministic shard-k-of-n execution for CI / fleet splits.
+"""Deterministic shard-k-of-n planning for CI / fleet splits.
 
 ``shard_ids`` is the single source of truth for the partition: round-robin
 by position, so shards stay balanced even when the suite is sorted by
 cost-correlated id order, and the union of shards 1..n is exactly the
-input (order preserved within each shard).
+input (order preserved within each shard).  The runners apply it to the
+full deduplicated batch *before* any cache lookup — a warm cache must
+not shift the partition, or concurrent shards could collectively skip a
+benchmark.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
-from repro.core.backends.base import (
-    BackendError,
-    BatchProgress,
-    ExecutionBackend,
-    ProgressCallback,
-)
-from repro.core.backends.serial import SerialBackend
-
-if TYPE_CHECKING:
-    from repro.core.results import RunResult
-    from repro.core.runner import RunConfig
+from repro.core.backends.base import BackendError
 
 _T = TypeVar("_T")
 
@@ -47,87 +39,10 @@ def parse_shard(text: str) -> tuple[int, int]:
 def shard_ids(ids: Sequence[_T], index: int, count: int) -> tuple[_T, ...]:
     """The ordered slice of *ids* owned by shard *index* of *count* (1-based).
 
-    Generic over the element type: bench ids and sweep points partition
-    through this one function, so the round-robin scheme can never
-    diverge between the two.
+    Generic over the element type: bench ids, sweep points and fleet
+    units partition through this one function, so the round-robin scheme
+    can never diverge between them.
     """
     if count < 1 or not 1 <= index <= count:
         raise BackendError(f"bad shard {index}/{count}: need 1 <= K <= N")
     return tuple(ids[index - 1 :: count])
-
-
-class ShardedBackend:
-    """Restricts execution to one deterministic shard of the batch.
-
-    Wraps an inner backend (serial by default, or a process pool), so a
-    CI fleet can split the suite as ``--shard 1/4 .. --shard 4/4`` and
-    the concatenation of shard outputs covers every benchmark exactly
-    once.
-
-    Ownership is decided in :meth:`plan`, which the orchestrator calls
-    on the full batch *before* cache filtering — a warm cache must not
-    shift the partition, or concurrent shards could collectively skip a
-    benchmark.  :meth:`execute` runs exactly what it is given.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self, index: int, count: int, inner: ExecutionBackend | None = None
-    ) -> None:
-        if count < 1 or not 1 <= index <= count:
-            raise BackendError(f"bad shard {index}/{count}: need 1 <= K <= N")
-        self.index = index
-        self.count = count
-        self.inner = inner if inner is not None else SerialBackend()
-
-    @property
-    def executed(self) -> list[str]:
-        """Bench ids the inner backend actually simulated."""
-        return self.inner.executed
-
-    def plan(self, bench_ids: Sequence[str]) -> list[str]:
-        return list(shard_ids(tuple(bench_ids), self.index, self.count))
-
-    def plan_batch(self, items: Sequence[_T]) -> list[_T]:
-        return list(shard_ids(tuple(items), self.index, self.count))
-
-    def execute(
-        self,
-        bench_ids: Sequence[str],
-        cfg: "RunConfig",
-        on_result: ProgressCallback | None = None,
-    ) -> "list[RunResult]":
-        return self.inner.execute(bench_ids, cfg, on_result)
-
-    def execute_batch(
-        self,
-        items: "Sequence[tuple[str, RunConfig]]",
-        on_result: BatchProgress | None = None,
-    ) -> "list[RunResult]":
-        return self.inner.execute_batch(items, on_result)
-
-    def execute_stream(
-        self,
-        items: "Iterable[tuple[str, RunConfig]]",
-        on_result: BatchProgress | None = None,
-        collect: bool = True,
-    ) -> "list[RunResult]":
-        """Stream through the inner backend when it can, else materialise.
-
-        Sharding itself happened in :meth:`plan_batch` — by the time a
-        stream reaches execution, the items are already this shard's —
-        so streaming is purely the inner backend's concern.  ``collect``
-        is forwarded when the inner stream understands it; a batch-only
-        inner backend materialises regardless (its results list exists
-        either way), and the no-collect contract is honoured by
-        returning none of them.
-        """
-        inner_stream = getattr(self.inner, "execute_stream", None)
-        if inner_stream is not None:
-            if "collect" in inspect.signature(inner_stream).parameters:
-                return inner_stream(items, on_result, collect=collect)
-            results = inner_stream(items, on_result)
-            return results if collect else []
-        results = self.inner.execute_batch(list(items), on_result)
-        return results if collect else []

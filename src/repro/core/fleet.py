@@ -8,7 +8,7 @@ A :class:`FleetSpec` describes that population as independent sampling
 mixes; :func:`run_fleet` draws the fleet deterministically, deduplicates
 devices that landed on identical ``(bench, config)`` cells into
 :class:`FleetUnit`\\ s (simulated once, counted per device), and streams
-every unit through any execution backend into a
+every unit through an execution backend into a
 :class:`~repro.core.stats.SketchSet` — never materialising per-device
 :class:`~repro.core.results.RunResult`\\ s, so aggregation memory is
 O(metrics) at any fleet size.
@@ -33,7 +33,8 @@ from repro.calibration import (
     calibration_preset,
     profile_cpu_count,
 )
-from repro.core.results import ResultCache, RunResult
+from repro.core.backends.sharded import shard_ids
+from repro.core.results import ResultCache, RunResult, load_json_file
 from repro.core.runner import Reducer, RunConfig, execute_with_cache
 from repro.core.stats import (
     DEFAULT_SAMPLE_CAPACITY,
@@ -428,8 +429,7 @@ class FleetResult:
 
     @classmethod
     def load(cls, path: str) -> "FleetResult":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return load_json_file(path, "fleet result", cls.from_json_dict)
 
 
 class FleetReducer(Reducer):
@@ -526,16 +526,20 @@ def run_fleet(
     spec: FleetSpec,
     backend: "ExecutionBackend | None" = None,
     cache: ResultCache | None = None,
-    progress: FleetProgress | None = None,
+    make_progress: "Callable[[int], FleetProgress] | None" = None,
+    shard: "tuple[int, int] | None" = None,
 ) -> FleetResult:
     """Sample, deduplicate, execute, and stream-reduce one fleet.
 
-    The full fleet is sampled and deduplicated *before* the backend
-    plans ownership, so a sharded backend partitions identical unit
-    lists everywhere and devices never overlap across shards.  Units
-    stream through :func:`~repro.core.runner.execute_with_cache` with
-    retention off and fold into sketches as they complete — per-device
-    results are never held.
+    The full fleet is sampled and deduplicated *before* a *shard*
+    ``(k, n)`` takes its slice of the units, so every shard partitions
+    identical unit lists and devices never overlap across shards.
+    *make_progress*, given the number of units this run owns, returns
+    the per-unit progress callback (e.g. a :class:`ProgressMeter`), so
+    a meter is sized from this one plan.  Units stream through
+    :func:`~repro.core.runner.execute_with_cache` with retention off and
+    fold into sketches as they complete — per-device results are never
+    held.
     """
     from repro.core.backends import SerialBackend
 
@@ -545,7 +549,9 @@ def run_fleet(
     units = spec.units(fleet)
     population = spec.population(fleet)
     del fleet  # the census is folded; no per-device objects persist
-    owned = backend.plan_batch(units)
+    owned = units
+    if shard is not None:
+        owned = list(shard_ids(units, *shard))
 
     reducer = FleetReducer(spec, units_total=len(units), population=population)
     execute_with_cache(
@@ -554,7 +560,7 @@ def run_fleet(
         [(unit.bench_id, unit.config) for unit in owned],
         labels=[unit.label for unit in owned],
         units=owned,
-        progress=progress,
+        progress=make_progress(len(owned)) if make_progress else None,
         reducer=reducer,
         retain_results=False,
     )

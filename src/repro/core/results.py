@@ -20,13 +20,46 @@ import re
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigError, ReproError
 
 if TYPE_CHECKING:
     from repro.core.runner import RunConfig
     from repro.sim.memprofiler import MemProfiler
+
+
+_T = TypeVar("_T")
+
+
+def load_json_file(path: str, what: str, decode: "Callable[[dict], _T]") -> _T:
+    """Read a saved result file and decode it with *decode*.
+
+    Every way the file can be unusable — missing or unreadable, not
+    JSON, not a JSON object, a missing or mistyped field — raises a
+    :class:`~repro.errors.ConfigError` naming *path* and the problem,
+    so the CLI reports it as a clean error instead of a traceback.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            f"{path} is not a saved {what}: expected a JSON object, "
+            f"got {type(raw).__name__}"
+        )
+    try:
+        return decode(raw)
+    except KeyError as exc:
+        raise ConfigError(
+            f"{path} is not a saved {what}: missing key {exc}"
+        ) from None
+    except (TypeError, ValueError, AttributeError, ReproError) as exc:
+        raise ConfigError(f"{path} is not a saved {what}: {exc}") from None
 
 
 def _encode_pairs(d: dict[tuple[str, str], int]) -> dict[str, int]:
@@ -370,14 +403,17 @@ class SuiteResult:
             json.dump(payload, fh)
 
     @classmethod
-    def load(cls, path: str) -> "SuiteResult":
-        """Read runs back from :meth:`save` output."""
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+    def from_json_dict(cls, payload: dict) -> "SuiteResult":
+        """Inverse of the JSON :meth:`save` writes."""
         out = cls()
         for raw in payload.values():
             out.add(RunResult.from_json_dict(raw))
         return out
+
+    @classmethod
+    def load(cls, path: str) -> "SuiteResult":
+        """Read runs back from :meth:`save` output."""
+        return load_json_file(path, "suite result", cls.from_json_dict)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Execution is split in two layers: :func:`execute_one` is a pure, picklable
 top-level function mapping ``(bench_id, config)`` to a :class:`RunResult`
 (every bit of run state — seed, JIT flag, calibration override — travels
 inside the config, so workers in other processes reproduce runs exactly),
-and :class:`SuiteRunner` orchestrates batches: dedup, cache lookups, and
-delegation to a pluggable :class:`~repro.core.backends.ExecutionBackend`.
+and :class:`SuiteRunner` orchestrates batches: dedup, shard planning,
+cache lookups, and delegation to an
+:class:`~repro.core.backends.ExecutionBackend`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.android.app import start_activity
 from repro.android.boot import boot_android
 from repro.calibration import Calibration, profile_cpu_count, use_calibration
 from repro.core.backends.base import shortfall_error
+from repro.core.backends.sharded import shard_ids
 from repro.core.results import ResultCache, RunResult, SuiteResult
 from repro.core.spec import BenchmarkSpec
 from repro.core.suite import benchmarks, get_benchmark
@@ -158,7 +160,7 @@ def bench_seed(bench_id: str, cfg: RunConfig) -> int:
 def execute_one(bench_id: str, cfg: RunConfig) -> RunResult:
     """Execute one benchmark on a fresh system.
 
-    Top-level and picklable so process-pool backends can ship it to
+    Top-level and picklable so the pool backend can ship it to
     workers; the calibration override is installed here, inside whichever
     process runs the benchmark, rather than inherited ambiently.
     """
@@ -311,20 +313,6 @@ class Reducer:
         raise NotImplementedError
 
 
-def _stream_supports_collect(execute_stream: object) -> bool:
-    """Whether a backend's ``execute_stream`` accepts ``collect``.
-
-    Third-party/test backends may predate the flag; they simply keep
-    materialising their return list (correct, just not O(1) memory).
-    """
-    import inspect
-
-    try:
-        return "collect" in inspect.signature(execute_stream).parameters
-    except (TypeError, ValueError):
-        return False
-
-
 def execute_with_cache(
     backend: "ExecutionBackend",
     cache: ResultCache | None,
@@ -352,18 +340,14 @@ def execute_with_cache(
     memory stays O(metrics) however large the batch) and the return
     value is ``None``.
 
-    A backend advertising ``execute_stream`` (see
-    :class:`~repro.core.backends.StreamingBackend`) is fed lazily: the
-    cache probe for each item happens as the backend pulls it, so
-    lookups for later units overlap simulations already in flight, and
-    cache writes run inside the backend's completion handling (off the
-    critical path for the async backend).  With *retain_results* off,
-    backends whose ``execute_stream`` takes a ``collect`` flag are asked
-    not to materialise their return list either.  Completion callbacks
-    may be concurrent with the probing thread, so result recording,
-    *reducer* consumption and *progress* invocations are serialised
-    under a lock — results stay a pure function of ``(bench_id,
-    config)`` either way, byte-identical to the batch path.
+    The backend is fed lazily: the cache probe for each item happens as
+    the backend pulls it, so lookups for later units overlap simulations
+    already in flight, and cache writes run inside the backend's
+    completion handling (off the critical path for the pool).
+    Completion callbacks may be concurrent with the probing thread, so
+    result recording, *reducer* consumption and *progress* invocations
+    are serialised under a lock — results stay a pure function of
+    ``(bench_id, config)`` either way.
     """
     results: "list[RunResult | None] | None" = (
         [None] * len(items) if retain_results else None
@@ -382,16 +366,16 @@ def execute_with_cache(
         if progress is not None:
             progress(units[index], elapsed, run)
 
-    def probe(index: int) -> bool:
-        """Look one item up in the cache; record a hit or mark it pending."""
-        bench_id, cfg = items[index]
-        hit = cache.get(bench_id, cfg) if cache is not None else None
-        if hit is None:
-            pending.append(index)
-            return False
-        with lock:
-            record(index, None, hit)
-        return True
+    def misses():
+        """Probe lazily, yielding only the items the backend must run."""
+        for index, (bench_id, cfg) in enumerate(items):
+            hit = cache.get(bench_id, cfg) if cache is not None else None
+            if hit is None:
+                pending.append(index)
+                yield bench_id, cfg
+            else:
+                with lock:
+                    record(index, None, hit)
 
     def on_result(batch_index: int, elapsed: float, run: RunResult) -> None:
         index = pending[batch_index]
@@ -405,40 +389,8 @@ def execute_with_cache(
         with lock:
             record(index, elapsed, run)
 
-    execute_stream = getattr(backend, "execute_stream", None)
-
-    def misses():
-        """Probe lazily, yielding only the items the backend must run."""
-        for index in range(len(items)):
-            if not probe(index):
-                yield items[index]
-
     try:
-        if execute_stream is not None:
-            if not retain_results and _stream_supports_collect(execute_stream):
-                returned = execute_stream(misses(), on_result, collect=False)
-            else:
-                returned = execute_stream(misses(), on_result)
-        else:
-            for index in range(len(items)):
-                probe(index)
-            returned = backend.execute_batch(
-                [items[index] for index in pending], on_result
-            )
-        # Belt and braces: a backend that returns a fully aligned list
-        # without driving the callback still yields a complete batch
-        # (recorded without a *progress* event, as before the reducer
-        # hook existed — only the callback path carries timing).
-        if returned is not None and len(returned) == len(pending):
-            for batch_index, run in enumerate(returned):
-                index = pending[batch_index]
-                if not done[index] and run is not None:
-                    with lock:
-                        done[index] = 1
-                        if results is not None:
-                            results[index] = run
-                        if reducer is not None:
-                            reducer.consume(units[index], run)
+        backend.execute_stream(misses(), on_result)
         missing = [labels[index] for index in pending if not done[index]]
         if missing:
             raise shortfall_error(backend, missing, len(pending))
@@ -453,9 +405,10 @@ def execute_with_cache(
 class SuiteRunner:
     """Runs benchmarks and collects results.
 
-    Batch execution is delegated to a pluggable *backend* (serial by
-    default); an optional *cache* short-circuits runs whose
-    ``(bench_id, config, version)`` key already has a stored result.
+    Batch execution is delegated to a *backend* (serial by default); an
+    optional *cache* short-circuits runs whose ``(bench_id, config,
+    version)`` key already has a stored result, and a *shard* ``(k, n)``
+    restricts every batch to its k-th of n deterministic slices.
     """
 
     def __init__(
@@ -463,12 +416,14 @@ class SuiteRunner:
         config: RunConfig | None = None,
         backend: "ExecutionBackend | None" = None,
         cache: ResultCache | None = None,
+        shard: "tuple[int, int] | None" = None,
     ) -> None:
         from repro.core.backends import SerialBackend
 
         self.config = config if config is not None else RunConfig()
         self.backend = backend if backend is not None else SerialBackend()
         self.cache = cache
+        self.shard = shard
 
     # ------------------------------------------------------------------
 
@@ -486,19 +441,19 @@ class SuiteRunner:
 
         Cache hits are reported through *progress* with ``elapsed=None``
         (no simulation happened — distinct from a genuinely instantaneous
-        run); misses go to the backend (which may shard or parallelise)
-        and are stored back on completion.
+        run); misses go to the backend and are stored back on
+        completion.
         """
         cfg = config if config is not None else self.config
-        # Plan on the full deduplicated batch, then filter by cache: a
+        wanted = dedup_ids(
+            spec.bench_id
+            for spec in benchmarks(tuple(ids) if ids is not None else None)
+        )
+        # Shard the full deduplicated batch, then filter by cache: a
         # shard partition must depend only on the batch, never on which
         # results happen to be cached already.
-        wanted = self.backend.plan(
-            dedup_ids(
-                spec.bench_id
-                for spec in benchmarks(tuple(ids) if ids is not None else None)
-            )
-        )
+        if self.shard is not None:
+            wanted = list(shard_ids(wanted, *self.shard))
 
         results = execute_with_cache(
             self.backend,

@@ -7,11 +7,11 @@ every ablation hand-rolled its own serial loop over configs.  A
 with ordered axes (seeds, the JIT flag, duration scaling, individual
 calibration-field overrides), expanded deterministically into
 :class:`SweepPoint`\\ s.  :class:`SweepRunner` flattens the whole grid
-into a single batch and hands it to any
+into a single batch and hands it to an
 :class:`~repro.core.backends.ExecutionBackend` — points from different
-configs interleave in a process pool instead of executing
-config-by-config — and reuses :class:`~repro.core.results.ResultCache`
-per point, so re-running an enlarged sweep only simulates the new cells.
+configs interleave in the pool instead of executing config-by-config —
+and reuses :class:`~repro.core.results.ResultCache` per point, so
+re-running an enlarged sweep only simulates the new cells.
 
 Every point is a picklable ``(bench_id, RunConfig)`` work item, which is
 exactly the unit a future remote/multi-host backend ships across
@@ -31,7 +31,8 @@ from repro.calibration import (
     calibration_preset,
     profile_cpu_count,
 )
-from repro.core.results import ResultCache, RunResult
+from repro.core.backends.sharded import shard_ids
+from repro.core.results import ResultCache, RunResult, load_json_file
 from repro.core.runner import Reducer, RunConfig, dedup_ids, execute_with_cache
 from repro.core.suite import get_benchmark
 from repro.errors import AnalysisError, ConfigError
@@ -412,7 +413,7 @@ class SweepResult:
         """Fold another sweep's cells into this one.
 
         The shard recombination step: run the same spec under
-        ``ShardedBackend(1, N) .. (N, N)``, then merge the outputs to
+        ``shard=(1, N) .. (N, N)``, then merge the outputs to
         reconstitute the full grid.  Axis metadata must agree — merging
         results of different specs would produce tables that silently
         mix grids.
@@ -491,8 +492,7 @@ class SweepResult:
     @classmethod
     def load(cls, path: str) -> "SweepResult":
         """Read a sweep back from :meth:`save` output."""
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return load_json_file(path, "sweep result", cls.from_json_dict)
 
 
 #: Sweep progress callback: ``(point, elapsed_seconds, result)`` with
@@ -553,18 +553,17 @@ class MaterializingReducer(Reducer):
 class SweepRunner:
     """Expands a :class:`SweepSpec` and executes it as one flat batch.
 
-    The grid is flattened before execution, so any backend sees a single
-    heterogeneous batch: a process pool keeps all workers busy across
-    configs, and a sharded backend partitions *points* (not benchmarks).
-    A :class:`~repro.core.results.ResultCache` is consulted per point
-    with exactly the keying suite runs use, so sweep cells and suite
-    runs share cached results both ways.  A streaming backend (e.g.
-    :class:`~repro.core.backends.AsyncBackend`) pulls the flattened grid
-    lazily instead, so per-point cache lookups and result writes overlap
+    The grid is flattened before execution, so the backend sees a single
+    heterogeneous batch: the pool keeps all workers busy across configs,
+    and a *shard* ``(k, n)`` partitions *points* (not benchmarks).  A
+    :class:`~repro.core.results.ResultCache` is consulted per point with
+    exactly the keying suite runs use, so sweep cells and suite runs
+    share cached results both ways.  The backend pulls the flattened
+    grid lazily, so per-point cache lookups and result writes overlap
     points still simulating — without changing the result bytes.
 
     The run is three separable stages — :meth:`plan` (grid expansion and
-    backend ownership), :meth:`execute` (cache-aware execution feeding
+    shard ownership), :meth:`execute` (cache-aware execution feeding
     an optional streaming :class:`~repro.core.runner.Reducer`), and
     reduction (the reducer's ``finish``).  :meth:`run` wires them with a
     :class:`MaterializingReducer` for the classic full-grid result;
@@ -576,11 +575,13 @@ class SweepRunner:
         self,
         backend: "ExecutionBackend | None" = None,
         cache: ResultCache | None = None,
+        shard: "tuple[int, int] | None" = None,
     ) -> None:
         from repro.core.backends import SerialBackend
 
         self.backend = backend if backend is not None else SerialBackend()
         self.cache = cache
+        self.shard = shard
 
     # ------------------------------------------------------------------
     # Stage 1: plan
@@ -591,14 +592,15 @@ class SweepRunner:
         """Expand the grid and settle ownership.
 
         Returns ``(variants, points, owned)``: the variant table, the
-        full canonical grid, and the backend's owned slice of it (the
-        full grid everywhere but under a sharded backend).  Planning
-        happens before cache filtering, so shard partitions never shift
-        with cache contents.
+        full canonical grid, and this runner's shard of it (the full
+        grid unless *shard* is set).  Planning happens before cache
+        filtering, so shard partitions never shift with cache contents.
         """
         variants = spec.variants()
         points = spec.expand(variants)
-        owned = self.backend.plan_batch(points)
+        owned = points
+        if self.shard is not None:
+            owned = list(shard_ids(points, *self.shard))
         return variants, points, owned
 
     # ------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 The contract under test: a run is a pure function of ``(bench_id,
 RunConfig)``, so the same suite or sweep serialises to byte-identical
-JSON through every execution path — serial, process pool, sharded shards
-merged back together, and the async overlapped-I/O backend — whether the
-cache is cold, partially warmed, or fully pre-warmed.  Completion order
-is backend-specific and explicitly *not* part of the contract, so the
-matrix also pins the progress protocol: out-of-order completion must
-still report index-correct units, and cache hits must report
-``elapsed=None`` no matter which thread delivers them.
+JSON through both execution paths — serial (``--jobs 1``) and the async
+pool (``--jobs N``), each also as sharded runs merged back together —
+whether the cache is cold, partially warmed, or fully pre-warmed.
+Completion order is backend-specific and explicitly *not* part of the
+contract, so the matrix also pins the progress protocol: out-of-order
+completion must still report index-correct units, and cache hits must
+report ``elapsed=None`` no matter which thread delivers them.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ import pytest
 
 from repro.core import (
     AsyncBackend,
-    ProcessPoolBackend,
     ResultCache,
     RunConfig,
     SerialBackend,
-    ShardedBackend,
     SuiteResult,
     SuiteRunner,
     SweepAxis,
@@ -57,17 +55,15 @@ PROFILE_SWEEP_SPEC = SweepSpec(
     base=FAST,
 )
 
-BACKENDS = ("serial", "process", "async")
+BACKENDS = ("serial", "pool")
 WARMTH = ("cold", "partial", "prewarmed")
 
 
 def _make(name: str):
     if name == "serial":
         return SerialBackend()
-    if name == "process":
-        return ProcessPoolBackend(jobs=2)
-    if name == "async":
-        return AsyncBackend(jobs=2, window=3)
+    if name == "pool":
+        return AsyncBackend(jobs=2)
     raise AssertionError(name)
 
 
@@ -139,13 +135,13 @@ class TestSuiteMatrix:
         elif warmth == "partial":
             assert sorted(backend.executed) == sorted(SUITE_IDS[1:])
 
-    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("inner", BACKENDS)
     def test_sharded_shards_merge_byte_identical(
         self, inner, serial_suite_bytes, tmp_path
     ):
         parts = [
             SuiteRunner(
-                FAST, backend=ShardedBackend(k, 2, inner=_make(inner))
+                FAST, backend=_make(inner), shard=(k, 2)
             ).run_suite(SUITE_IDS)
             for k in (1, 2)
         ]
@@ -181,14 +177,12 @@ class TestSweepMatrix:
             # other benchmark's cells may simulate.
             assert backend.executed == ["999.specrand"] * 4
 
-    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("inner", BACKENDS)
     def test_sharded_shards_merge_byte_identical(
         self, inner, serial_sweep_bytes, tmp_path
     ):
         shards = [
-            SweepRunner(
-                backend=ShardedBackend(k, 2, inner=_make(inner))
-            ).run(SWEEP_SPEC)
+            SweepRunner(backend=_make(inner), shard=(k, 2)).run(SWEEP_SPEC)
             for k in (1, 2)
         ]
         merged = shards[0]
@@ -243,13 +237,13 @@ class TestCpuProfileMatrix:
         if warmth == "prewarmed":
             assert backend.executed == []    # zero redundant simulations
 
-    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("inner", BACKENDS)
     def test_asymmetric_sharded_merge_byte_identical(
         self, inner, serial_biglittle_bytes, tmp_path
     ):
         parts = [
             SuiteRunner(
-                FAST_BIGLITTLE, backend=ShardedBackend(k, 2, inner=_make(inner))
+                FAST_BIGLITTLE, backend=_make(inner), shard=(k, 2)
             ).run_suite(SUITE_IDS)
             for k in (1, 2)
         ]
@@ -344,13 +338,13 @@ class TestSymmetricSmpMatrix:
         suite = SuiteRunner(FAST_SMP, backend=_make(name)).run_suite(SUITE_IDS)
         assert _suite_bytes(suite, tmp_path / "out.json") == serial_smp_bytes
 
-    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("inner", BACKENDS)
     def test_smp_sharded_merge_byte_identical(
         self, inner, serial_smp_bytes, tmp_path
     ):
         parts = [
             SuiteRunner(
-                FAST_SMP, backend=ShardedBackend(k, 2, inner=_make(inner))
+                FAST_SMP, backend=_make(inner), shard=(k, 2)
             ).run_suite(SUITE_IDS)
             for k in (1, 2)
         ]
@@ -377,14 +371,14 @@ class TestSymmetricSmpMatrix:
 
 
 # ----------------------------------------------------------------------
-# (c) Full-suite acceptance: async vs serial over all 25 benchmarks
+# (c) Full-suite acceptance: pool vs serial over all 25 benchmarks
 
 
 class TestFullSuite:
-    def test_async_full_suite_byte_identical_to_serial(self, tmp_path):
+    def test_pool_full_suite_byte_identical_to_serial(self, tmp_path):
         serial = SuiteRunner(FAST, backend=SerialBackend()).run_suite()
         overlapped = SuiteRunner(
-            FAST, backend=AsyncBackend(jobs=4, window=6)
+            FAST, backend=AsyncBackend(jobs=4)
         ).run_suite()
         assert _suite_bytes(overlapped, tmp_path / "a.json") == _suite_bytes(
             serial, tmp_path / "s.json"
@@ -396,21 +390,18 @@ class TestFullSuite:
 
 
 class ReversingBackend(SerialBackend):
-    """Reports completions in *reverse* submission order — a deterministic
+    """Reports completions in *reverse* pull order — a deterministic
     stand-in for a pool's arbitrary completion order."""
 
     name = "reversing"
 
-    def execute_batch(self, items, on_result=None):
-        batch = list(items)
+    def execute_stream(self, items, on_result):
         runs = []
-        for bench_id, cfg in batch:
+        for bench_id, cfg in items:
             runs.append(execute_one(bench_id, cfg))
             self.executed.append(bench_id)
-        if on_result is not None:
-            for index in reversed(range(len(batch))):
-                on_result(index, 0.25, runs[index])
-        return runs
+        for index in reversed(range(len(runs))):
+            on_result(index, 0.25, runs[index])
 
 
 class TestProgressOrdering:
@@ -441,37 +432,36 @@ class TestProgressOrdering:
         sweep = SweepRunner(backend=ReversingBackend()).run(SWEEP_SPEC)
         assert _sweep_bytes(sweep, tmp_path / "out.json") == serial_sweep_bytes
 
-    def test_async_progress_indices_address_submission_order(self):
-        """The async backend completes in arbitrary order; its on_result
-        index must always address the submitted batch position."""
+    def test_pool_progress_indices_address_pull_order(self):
+        """The pool completes in arbitrary order; its on_result index
+        must always address the position the item was pulled at."""
         items = [
             ("countdown.main", FAST),
             ("999.specrand", FAST),
             ("countdown.main", FAST.scaled(0.5)),
         ]
-        seen = []
-        results = AsyncBackend(jobs=2, window=2).execute_batch(
-            items, lambda i, secs, res: seen.append((i, res.bench_id))
+        results = {}
+        AsyncBackend(jobs=2).execute_stream(
+            iter(items), lambda i, secs, res: results.setdefault(i, res)
         )
-        assert sorted(i for i, _ in seen) == [0, 1, 2]
-        assert all(bid == items[i][0] for i, bid in seen)
-        assert [r.bench_id for r in results] == [b for b, _ in items]
+        assert sorted(results) == [0, 1, 2]
+        assert [results[i].bench_id for i in range(3)] == [b for b, _ in items]
         assert results[2].duration_ticks == FAST.scaled(0.5).duration_ticks
 
-    def test_async_completions_run_off_the_calling_thread(self):
+    def test_pool_completions_run_off_the_calling_thread(self):
         """The overlap mechanism itself: on_result runs on the completion
-        thread, not the thread that called execute_batch."""
+        thread, not the thread that called execute_stream."""
         caller = threading.get_ident()
         threads = set()
-        AsyncBackend(jobs=2).execute_batch(
-            [("countdown.main", FAST), ("999.specrand", FAST)],
+        AsyncBackend(jobs=2).execute_stream(
+            iter([("countdown.main", FAST), ("999.specrand", FAST)]),
             lambda i, secs, res: threads.add(threading.get_ident()),
         )
         assert threads and caller not in threads
 
-    def test_async_warm_hits_report_none_elapsed(self, tmp_path):
+    def test_pool_warm_hits_report_none_elapsed(self, tmp_path):
         """Cache hits keep the elapsed=None convention even when misses
-        complete concurrently on the async path."""
+        complete concurrently on the pool path."""
         root = str(tmp_path / "cache")
         SuiteRunner(FAST, cache=ResultCache(root)).run_suite(SUITE_IDS[:2])
         events = []
@@ -491,72 +481,47 @@ class TestProgressOrdering:
 # (e) Streaming: lookups/writes ride the stream, off the critical path
 
 
-class PullOneBackend(SerialBackend):
-    """Executes each streamed item the moment it is pulled, exposing the
-    interleaving of cache probes with execution."""
+class RecordingCache(ResultCache):
+    """Logs every lookup and store, in call order."""
 
-    name = "pull-one"
+    def __init__(self, root: str) -> None:
+        super().__init__(root)
+        self.events: "list[tuple[str, str]]" = []
 
-    def execute_stream(self, items, on_result=None):
-        out = []
-        for index, (bench_id, cfg) in enumerate(items):
-            run = execute_one(bench_id, cfg)
-            self.executed.append(bench_id)
-            if on_result is not None:
-                on_result(index, 0.1, run)
-            out.append(run)
-        return out
+    def get(self, bench_id, cfg):
+        self.events.append(("get", bench_id))
+        return super().get(bench_id, cfg)
+
+    def put(self, bench_id, cfg, result):
+        self.events.append(("put", bench_id))
+        super().put(bench_id, cfg, result)
 
 
 class TestStreamingOverlap:
-    def test_streamed_lookups_interleave_with_execution(self, tmp_path):
-        """Through a streaming backend, the cache probe for a later unit
-        happens *after* earlier units already executed — lookups ride the
-        stream instead of blocking the first submission."""
-        events = []
-
-        class RecordingCache(ResultCache):
-            def get(self, bench_id, cfg):
-                events.append(("get", bench_id))
-                return super().get(bench_id, cfg)
-
-            def put(self, bench_id, cfg, result):
-                events.append(("put", bench_id))
-                super().put(bench_id, cfg, result)
-
+    def test_serial_lookups_interleave_with_execution(self, tmp_path):
+        """The serial backend runs each item the moment it pulls it, so
+        the cache probe for a later unit happens *after* earlier units
+        already executed and were stored — lookups ride the stream
+        instead of all running before the first simulation."""
+        cache = RecordingCache(str(tmp_path / "cache"))
         ids = SUITE_IDS[:2]
-        SuiteRunner(
-            FAST, backend=PullOneBackend(),
-            cache=RecordingCache(str(tmp_path / "cache")),
-        ).run_suite(ids)
-        assert events == [
+        SuiteRunner(FAST, backend=SerialBackend(), cache=cache).run_suite(ids)
+        assert cache.events == [
             ("get", ids[0]), ("put", ids[0]),
             ("get", ids[1]), ("put", ids[1]),
         ]
 
-    def test_batch_backends_probe_up_front(self, tmp_path):
-        """The non-streaming path keeps its original shape: all lookups
-        first, then the batch."""
-        events = []
-
-        class RecordingCache(ResultCache):
-            def get(self, bench_id, cfg):
-                events.append(("get", bench_id))
-                return super().get(bench_id, cfg)
-
-            def put(self, bench_id, cfg, result):
-                events.append(("put", bench_id))
-                super().put(bench_id, cfg, result)
-
-        ids = SUITE_IDS[:2]
-        SuiteRunner(
-            FAST, backend=SerialBackend(),
-            cache=RecordingCache(str(tmp_path / "cache")),
-        ).run_suite(ids)
-        assert events == [
-            ("get", ids[0]), ("get", ids[1]),
-            ("put", ids[0]), ("put", ids[1]),
-        ]
+    def test_pool_stores_every_miss_once(self, tmp_path):
+        """On the pool, stores run on the completion thread in completion
+        order; each miss is still probed once and stored once."""
+        cache = RecordingCache(str(tmp_path / "cache"))
+        SuiteRunner(FAST, backend=AsyncBackend(jobs=2), cache=cache).run_suite(
+            SUITE_IDS
+        )
+        gets = [bid for op, bid in cache.events if op == "get"]
+        puts = [bid for op, bid in cache.events if op == "put"]
+        assert gets == SUITE_IDS                  # probed in pull order
+        assert sorted(puts) == sorted(SUITE_IDS)
 
 
 # ----------------------------------------------------------------------
@@ -623,13 +588,13 @@ class TestFaultMatrix:
         if warmth == "prewarmed":
             assert backend.executed == []    # the plan rides the cache key
 
-    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("inner", BACKENDS)
     def test_fault_sweep_sharded_merge_byte_identical(
         self, inner, serial_fault_sweep_bytes, tmp_path
     ):
         shards = [
             SweepRunner(
-                backend=ShardedBackend(k, 2, inner=_make(inner))
+                backend=_make(inner), shard=(k, 2)
             ).run(FAULT_SWEEP_SPEC)
             for k in (1, 2)
         ]

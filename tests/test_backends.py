@@ -1,8 +1,9 @@
 """The pluggable execution-backend subsystem.
 
 The contract under test: a run is a pure function of (bench id, config),
-so every backend — serial, process pool, sharded — produces byte-identical
-results, and the content-addressed cache can stand in for any of them.
+so both backends — serial and the async pool, at any job count, over any
+shard split — produce byte-identical results, and the content-addressed
+cache can stand in for either of them.
 """
 
 from __future__ import annotations
@@ -19,17 +20,22 @@ from repro.core import (
     QUICK_CONFIG,
     AsyncBackend,
     BackendError,
-    ProcessPoolBackend,
+    FleetSpec,
     ResultCache,
     RunConfig,
-    SerialBackend,
-    ShardedBackend,
     SuiteRunner,
+    SerialBackend,
+    SweepAxis,
+    SweepRunner,
+    SweepSpec,
     make_backend,
     parse_shard,
+    run_fleet,
     shard_ids,
 )
-from repro.errors import WorkloadError
+from repro.core.backends.async_ import INFLIGHT_PER_JOB
+from repro.errors import ConfigError, WorkloadError
+from repro.sim.ticks import millis
 
 SUBSET = ["countdown.main", "music.mp3.view", "401.bzip2", "999.specrand"]
 
@@ -47,25 +53,23 @@ def _suite_json(suite) -> str:
 
 
 class TestBackendEquivalence:
-    def test_serial_and_process_results_are_byte_identical(self):
-        serial = SuiteRunner(QUICK_CONFIG, backend=SerialBackend())
-        process = SuiteRunner(QUICK_CONFIG, backend=ProcessPoolBackend(jobs=4))
-        assert _suite_json(serial.run_suite(SUBSET)) == _suite_json(
-            process.run_suite(SUBSET)
+    @pytest.fixture(scope="class")
+    def serial_json(self) -> str:
+        return _suite_json(
+            SuiteRunner(QUICK_CONFIG, backend=SerialBackend()).run_suite(SUBSET)
         )
 
-    def test_process_backend_preserves_submission_order(self):
-        runner = SuiteRunner(QUICK_CONFIG, backend=ProcessPoolBackend(jobs=3))
-        assert runner.run_suite(SUBSET).ids() == SUBSET
-
-    def test_job_count_does_not_change_results(self):
-        one = SuiteRunner(QUICK_CONFIG, backend=ProcessPoolBackend(jobs=1))
-        many = SuiteRunner(QUICK_CONFIG, backend=ProcessPoolBackend(jobs=4))
-        ids = SUBSET[:2]
-        assert _suite_json(one.run_suite(ids)) == _suite_json(many.run_suite(ids))
+    @pytest.mark.parametrize("jobs", (1, 2, 3))
+    def test_pool_matches_serial_bytes_at_every_job_count(
+        self, jobs, serial_json
+    ):
+        pool = SuiteRunner(QUICK_CONFIG, backend=AsyncBackend(jobs=jobs))
+        suite = pool.run_suite(SUBSET)
+        assert suite.ids() == SUBSET                  # submission order
+        assert _suite_json(suite) == serial_json
 
     def test_progress_fires_per_run_under_both_backends(self):
-        for backend in (SerialBackend(), ProcessPoolBackend(jobs=2)):
+        for backend in (SerialBackend(), AsyncBackend(jobs=2)):
             seen = []
             runner = SuiteRunner(QUICK_CONFIG, backend=backend)
             runner.run_suite(
@@ -98,10 +102,11 @@ class TestSharding:
     def test_single_shard_is_the_whole_suite(self):
         assert shard_ids(FIGURE_ORDER, 1, 1) == FIGURE_ORDER
 
-    def test_sharded_backend_runs_only_its_slice(self):
-        runner = SuiteRunner(QUICK_CONFIG, backend=ShardedBackend(2, 2))
+    def test_sharded_runner_runs_only_its_slice(self):
+        runner = SuiteRunner(QUICK_CONFIG, shard=(2, 2))
         suite = runner.run_suite(SUBSET)
         assert suite.ids() == list(shard_ids(SUBSET, 2, 2))
+        assert runner.backend.executed == suite.ids()
 
     def test_parse_shard(self):
         assert parse_shard("1/4") == (1, 4)
@@ -110,29 +115,72 @@ class TestSharding:
             with pytest.raises(BackendError):
                 parse_shard(bad)
 
-    def test_invalid_shard_rejected(self):
+    def test_invalid_shard_rejected_before_anything_runs(self):
+        runner = SuiteRunner(QUICK_CONFIG, shard=(3, 2))
         with pytest.raises(BackendError):
-            ShardedBackend(3, 2)
+            runner.run_suite(SUBSET)
+        assert runner.backend.executed == []
         with pytest.raises(BackendError):
             shard_ids(FIGURE_ORDER, 0, 2)
 
-    def test_warm_cache_does_not_shift_the_partition(self, tmp_path):
+    def test_warm_cache_does_not_shift_the_suite_partition(self, tmp_path):
         """The shard plan is made before cache filtering: with one result
-        already cached, concurrent shards must still collectively execute
-        every remaining benchmark exactly once."""
+        already cached, each shard still owns exactly its cold-cache
+        slice, so concurrent shards collectively cover every benchmark
+        exactly once."""
         SuiteRunner(QUICK_CONFIG, cache=ResultCache(str(tmp_path))).run_suite(
             SUBSET[:1]
         )
-        suites = []
+        covered = []
         for k in (1, 2):
             runner = SuiteRunner(
-                QUICK_CONFIG,
-                backend=ShardedBackend(k, 2),
-                cache=ResultCache(str(tmp_path)),
+                QUICK_CONFIG, cache=ResultCache(str(tmp_path)), shard=(k, 2)
             )
-            suites.append(runner.run_suite(SUBSET))
-        covered = [bid for s in suites for bid in s.ids()]
+            owned = runner.run_suite(SUBSET).ids()
+            assert owned == list(shard_ids(SUBSET, k, 2))
+            assert runner.backend.executed == [
+                bid for bid in owned if bid != SUBSET[0]
+            ]
+            covered += owned
         assert sorted(covered) == sorted(SUBSET)
+
+    def test_warm_cache_does_not_shift_the_sweep_partition(self, tmp_path):
+        spec = SweepSpec(
+            benches=("countdown.main", "999.specrand"),
+            axes=(SweepAxis("seed", (1, 2)),),
+            base=QUICK_CONFIG,
+        )
+        points = spec.expand()
+        # Warm the first cell only: a partition planned after cache
+        # filtering would hand that cell's shard a different slice.
+        SweepRunner(cache=ResultCache(str(tmp_path))).run(
+            SweepSpec(benches=("countdown.main",),
+                      axes=(SweepAxis("seed", (1,)),), base=QUICK_CONFIG)
+        )
+        for k in (1, 2):
+            result = SweepRunner(
+                cache=ResultCache(str(tmp_path)), shard=(k, 2)
+            ).run(spec)
+            assert [f"{b}[{v}]" for b, v in result.runs] == [
+                p.label for p in shard_ids(points, k, 2)
+            ]
+
+    def test_warm_cache_does_not_shift_the_fleet_partition(self, tmp_path):
+        spec = FleetSpec(
+            devices=8, seed=5, base=QUICK_CONFIG.scaled(0.3),
+            bench_mix=(("countdown.main", 1.0), ("999.specrand", 1.0)),
+        )
+        units = spec.units()
+        cold = [run_fleet(spec, shard=(k, 2)) for k in (1, 2)]
+        # Warm shard 1's units: shard 2 must still own exactly its slice.
+        cache = ResultCache(str(tmp_path))
+        run_fleet(spec, cache=cache, shard=(1, 2))
+        for k in (1, 2):
+            warm = run_fleet(spec, cache=ResultCache(str(tmp_path)),
+                             shard=(k, 2))
+            owned = shard_ids(units, k, 2)
+            assert warm.devices_done == sum(len(u.device_ids) for u in owned)
+            assert warm.to_json_dict() == cold[k - 1].to_json_dict()
 
 
 # ----------------------------------------------------------------------
@@ -141,98 +189,50 @@ class TestSharding:
 
 
 class TestAsyncBackend:
-    def test_rejects_bad_jobs_and_window(self):
+    def test_rejects_bad_jobs(self):
         with pytest.raises(BackendError):
             AsyncBackend(jobs=0)
-        with pytest.raises(BackendError):
-            AsyncBackend(jobs=2, window=0)
 
-    def test_window_defaults_to_twice_jobs(self):
-        assert AsyncBackend(jobs=3).window == 6
-        assert AsyncBackend(jobs=2, window=5).window == 5
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_at_most_eight_units_per_job_in_flight(self, jobs):
+        """A unit is in flight from the moment the pool pulls it until
+        its result has been reported; the pool never holds more than
+        ``INFLIGHT_PER_JOB * jobs`` of them, however long the stream."""
+        bound = INFLIGHT_PER_JOB * jobs
+        cfg = RunConfig(duration_ticks=millis(50), settle_ticks=millis(50))
+        completed: "list[int]" = []
+        peak = 0
 
-    def test_explicit_window_pins_adaptivity_off(self):
-        assert AsyncBackend(jobs=2, window=5).adaptive is False
-        assert AsyncBackend(jobs=2).adaptive is True
+        def stream():
+            nonlocal peak
+            for pulled in range(1, bound + 5):
+                peak = max(peak, pulled - len(completed))
+                yield ("countdown.main", cfg)
 
-    def test_adaptive_window_stays_within_bounds(self):
-        from repro.core.backends.async_ import WINDOW_MAX_FACTOR
-
-        backend = AsyncBackend(jobs=2)
-        runner = SuiteRunner(QUICK_CONFIG, backend=backend)
-        suite = runner.run_suite(SUBSET[:3])
-        assert suite.ids() == SUBSET[:3]
-        # The window adapted from observed result sizes, but never left
-        # [jobs, WINDOW_MAX_FACTOR * jobs].
-        assert backend._avg_result_bytes is not None
-        assert backend.jobs <= backend.window <= WINDOW_MAX_FACTOR * backend.jobs
-
-    def test_adaptive_window_shrinks_for_huge_results(self):
-        from repro.core.backends.async_ import (
-            WINDOW_TARGET_BYTES,
-            _InflightGate,
+        AsyncBackend(jobs=jobs).execute_stream(
+            stream(), lambda i, secs, res: completed.append(i)
         )
-        from repro.core.results import RunResult
+        assert sorted(completed) == list(range(bound + 4))
+        assert jobs < peak <= bound
 
+    def test_empty_stream_is_a_noop(self):
         backend = AsyncBackend(jobs=2)
-        gate = _InflightGate(backend.window)
-        # A result pickling to more than half the budget forces the
-        # window down to its floor (the job count)...
-        fat = RunResult(
-            bench_id="x", benchmark_comm="x", duration_ticks=1, seed=0,
-            meta={"pad": "y" * WINDOW_TARGET_BYTES},
-        )
-        backend._observe(fat, gate)
-        assert backend.window == backend.jobs
-        # ... and a stream of tiny results grows it back toward the cap
-        # as the moving average decays.
-        tiny = RunResult(
-            bench_id="x", benchmark_comm="x", duration_ticks=1, seed=0
-        )
-        for _ in range(40):
-            backend._observe(tiny, gate)
-        assert backend.window > backend.jobs
-
-    def test_inflight_gate_resize_admits_waiters(self):
-        import threading
-
-        from repro.core.backends.async_ import _InflightGate
-
-        gate = _InflightGate(1)
-        gate.acquire()
-        admitted = threading.Event()
-
-        def second():
-            gate.acquire()
-            admitted.set()
-
-        thread = threading.Thread(target=second)
-        thread.start()
-        assert not admitted.wait(0.05)      # blocked at the old limit
-        gate.resize(2)
-        assert admitted.wait(2.0)           # widened bound lets it in
-        thread.join()
-
-    def test_empty_batch_is_a_noop(self):
-        backend = AsyncBackend(jobs=2)
-        assert backend.execute_batch([]) == []
-        assert backend.executed == []
-
-    def test_tight_window_still_completes_in_order(self):
-        backend = AsyncBackend(jobs=1, window=1)
-        runner = SuiteRunner(QUICK_CONFIG, backend=backend)
-        assert runner.run_suite(SUBSET[:3]).ids() == SUBSET[:3]
+        seen = []
+        backend.execute_stream(iter(()), lambda *args: seen.append(args))
+        assert seen == [] and backend.executed == []
 
     def test_worker_failure_propagates_and_stops_the_stream(self):
-        backend = AsyncBackend(jobs=1, window=1)
+        backend = AsyncBackend(jobs=1)
+        tail = 2 * INFLIGHT_PER_JOB
         with pytest.raises(WorkloadError, match="unknown benchmark"):
-            backend.execute_batch(
-                [("no.such.bench", QUICK_CONFIG)]
-                + [("countdown.main", QUICK_CONFIG)] * 8
+            backend.execute_stream(
+                iter([("no.such.bench", QUICK_CONFIG)]
+                     + [("countdown.main", QUICK_CONFIG)] * tail),
+                lambda i, secs, res: None,
             )
         # The bounded window plus the failure stop keep most of the tail
         # from ever being submitted.
-        assert len(backend.executed) < 8
+        assert len(backend.executed) < tail
 
     def test_executed_tracks_only_real_simulations(self, tmp_path):
         SuiteRunner(QUICK_CONFIG, cache=ResultCache(str(tmp_path))).run_suite(
@@ -600,7 +600,7 @@ class TestSerialisation:
         cold = RunConfig(duration_ticks=hot.duration_ticks,
                          settle_ticks=hot.settle_ticks,
                          calibration=Calibration().scaled(4.0))
-        backend = ProcessPoolBackend(jobs=2)
+        backend = AsyncBackend(jobs=2)
         runner = SuiteRunner(hot, backend=backend)
         base = runner.run_suite(["doom.main"]).get("doom.main")
         scaled = runner.run_suite(["doom.main"], config=cold).get("doom.main")
@@ -621,27 +621,13 @@ class TestRunnerOrchestration:
         assert runner.backend.executed == ["countdown.main", "999.specrand"]
 
     def test_make_backend_selection(self):
-        assert isinstance(make_backend(None, jobs=1), SerialBackend)
-        assert isinstance(make_backend(None, jobs=4), ProcessPoolBackend)
-        assert isinstance(make_backend("serial", jobs=4), SerialBackend)
-        sharded = make_backend("process", jobs=2, shard="1/3")
-        assert isinstance(sharded, ShardedBackend)
-        assert isinstance(sharded.inner, ProcessPoolBackend)
-        with pytest.raises(BackendError):
-            make_backend("gpu")
-
-    def test_make_backend_async(self):
-        backend = make_backend("async", jobs=3)
-        assert isinstance(backend, AsyncBackend)
-        assert backend.jobs == 3 and backend.window == 6
-        assert make_backend("async", jobs=2, window=9).window == 9
-        sharded = make_backend("async", jobs=2, shard="2/2")
-        assert isinstance(sharded, ShardedBackend)
-        assert isinstance(sharded.inner, AsyncBackend)
-
-    def test_process_backend_rejects_zero_jobs(self):
-        with pytest.raises(BackendError):
-            ProcessPoolBackend(jobs=0)
+        """``--jobs`` alone picks the path: 1 is serial, N > 1 the pool."""
+        assert isinstance(make_backend(1), SerialBackend)
+        pool = make_backend(3)
+        assert isinstance(pool, AsyncBackend) and pool.jobs == 3
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match=str(bad)):
+                make_backend(bad)
 
     def test_backend_shortfall_raises_naming_the_missing(self):
         """A backend that silently loses results (crashed pool worker)
@@ -651,26 +637,26 @@ class TestRunnerOrchestration:
         class LossyBackend(SerialBackend):
             name = "lossy"
 
-            def execute_batch(self, items, on_result=None):
-                return super().execute_batch(list(items)[:-1], on_result)
+            def execute_stream(self, items, on_result):
+                super().execute_stream(list(items)[:-1], on_result)
 
         runner = SuiteRunner(QUICK_CONFIG, backend=LossyBackend())
         with pytest.raises(BackendError, match="999.specrand"):
             runner.run_suite(["countdown.main", "999.specrand"])
 
-    def test_execute_batch_mixes_configs_in_one_batch(self):
-        """The batch primitive carries a config per item, so one call can
-        execute the same benchmark under different configs."""
+    def test_execute_stream_mixes_configs_in_one_stream(self):
+        """The stream primitive carries a config per item, so one call
+        can execute the same benchmark under different configs."""
         backend = SerialBackend()
         cold = QUICK_CONFIG
         hot = RunConfig(duration_ticks=cold.duration_ticks // 2,
                         settle_ticks=cold.settle_ticks)
-        seen = []
-        results = backend.execute_batch(
-            [("countdown.main", cold), ("countdown.main", hot)],
-            lambda i, secs, res: seen.append(i),
+        results = {}
+        backend.execute_stream(
+            iter([("countdown.main", cold), ("countdown.main", hot)]),
+            lambda i, secs, res: results.setdefault(i, res),
         )
-        assert sorted(seen) == [0, 1]
+        assert sorted(results) == [0, 1]
         assert results[0].duration_ticks == cold.duration_ticks
         assert results[1].duration_ticks == hot.duration_ticks
 
@@ -698,15 +684,33 @@ class TestCli:
             tmp_path / "b.json"
         ).read_bytes()
 
-    def test_suite_window_flag_pins_the_async_window(self, capsys):
+    @pytest.mark.parametrize("command", ("suite", "sweep", "fleet"))
+    @pytest.mark.parametrize("flag", (("backend", "serial"), ("window", "4")),
+                             ids=("backend", "window"))
+    def test_parser_rejects_removed_flags(self, command, flag, capsys):
+        """``--jobs`` is the only execution choice: the flags that picked
+        a backend or pinned the pool's window are gone, not silently
+        ignored."""
         from repro.__main__ import main
 
-        argv = ["--duration", "0.4", "--settle-ms", "200", "suite",
-                "--backend", "async", "--jobs", "1", "--window", "1",
-                "--bench", "countdown.main", "--bench", "999.specrand"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "countdown.main" in out and "999.specrand" in out
+        option = f"--{flag[0]}"
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, flag[1]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ("0", "-1"))
+    @pytest.mark.parametrize("command", (
+        ["suite", "--bench", "countdown.main"],
+        ["sweep", "--bench", "countdown.main"],
+        ["fleet", "--devices", "2"],
+    ), ids=("suite", "sweep", "fleet"))
+    def test_jobs_below_one_is_a_clean_error(self, command, jobs, capsys):
+        """``--jobs`` below 1 used to run serially without a word."""
+        from repro.__main__ import main
+
+        assert main([*command, "--jobs", jobs]) == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
     def test_suite_shard_flag(self, capsys):
         from repro.__main__ import main
@@ -734,15 +738,14 @@ class TestCli:
             with pytest.raises(SystemExit):
                 main([command, "--shard", "1/2"])
 
-    def test_suite_async_backend_matches_serial_bytes(self, tmp_path):
+    def test_suite_pool_matches_serial_bytes(self, tmp_path):
         from repro.__main__ import main
 
         base = ["--duration", "0.4", "--settle-ms", "200", "suite",
                 "--bench", "countdown.main", "--bench", "999.specrand"]
-        a, b = str(tmp_path / "async.json"), str(tmp_path / "serial.json")
-        assert main(base + ["--backend", "async", "--jobs", "2",
-                            "--out", a]) == 0
-        assert main(base + ["--backend", "serial", "--out", b]) == 0
+        a, b = str(tmp_path / "pool.json"), str(tmp_path / "serial.json")
+        assert main(base + ["--jobs", "2", "--out", a]) == 0
+        assert main(base + ["--jobs", "1", "--out", b]) == 0
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 

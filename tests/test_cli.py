@@ -72,3 +72,21 @@ def test_parser_global_flags():
     args = make_parser().parse_args(["--no-jit", "--seed", "7", "list"])
     assert args.no_jit
     assert args.seed == 7
+
+
+@pytest.mark.parametrize("argv", (
+    ["table1", "--results"],
+    ["figures", "--results"],
+    ["smp", "--results"],
+    ["faults", "--results"],
+    ["fleet", "--merge"],
+), ids=("table1", "figures", "smp", "faults", "fleet-merge"))
+def test_malformed_results_file_is_a_clean_error(tmp_path, capsys, argv):
+    """A result file missing a key used to end in a KeyError traceback;
+    now the command exits 2 with an error naming the file."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"countdown.main": {"bench_id": "countdown.main"}}')
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err

@@ -3,8 +3,8 @@
 The contract under test: a fleet is a pure function of its spec (two
 shards agree on every device before partitioning), the streaming
 reduction produces exactly the statistics a materialised run would,
-across every backend, cold and warm caches, and sharded runs merge into
-the bytes of the unsharded run.  The fleet path retains no per-device
+on the serial and pool backends, cold and warm caches, and sharded runs
+merge into the bytes of the unsharded run.  The fleet path retains no per-device
 RunResult — aggregation memory is O(metrics).
 """
 
@@ -20,13 +20,11 @@ from repro.core import (
     AsyncBackend,
     FleetResult,
     FleetSpec,
-    ProcessPoolBackend,
     ProgressMeter,
     Reducer,
     ResultCache,
     RunConfig,
     SerialBackend,
-    ShardedBackend,
     SketchSet,
     SweepAxis,
     SweepRunner,
@@ -147,17 +145,13 @@ class TestFleetExecution:
         assert serial_result.devices_done == SPEC.devices
         assert serial_result.sketches["total_refs"].count == SPEC.devices
 
-    def test_async_matches_serial_bytes(self, serial_result):
+    def test_pool_matches_serial_bytes(self, serial_result):
         result = run_fleet(SPEC, AsyncBackend(jobs=2))
         assert _fleet_json(result) == _fleet_json(serial_result)
 
-    def test_process_matches_serial_bytes(self, serial_result):
-        result = run_fleet(SPEC, ProcessPoolBackend(jobs=2))
-        assert _fleet_json(result) == _fleet_json(serial_result)
-
     def test_merged_shards_equal_unsharded(self, serial_result):
-        one = run_fleet(SPEC, ShardedBackend(1, 2))
-        two = run_fleet(SPEC, ShardedBackend(2, 2, inner=AsyncBackend(jobs=2)))
+        one = run_fleet(SPEC, shard=(1, 2))
+        two = run_fleet(SPEC, AsyncBackend(jobs=2), shard=(2, 2))
         assert not one.complete and not two.complete
         assert one.devices_done + two.devices_done == SPEC.devices
         one.merge(two)
@@ -165,12 +159,8 @@ class TestFleetExecution:
         assert _fleet_json(one) == _fleet_json(serial_result)
 
     def test_merge_order_does_not_matter(self, serial_result):
-        a1, a2 = run_fleet(SPEC, ShardedBackend(1, 2)), run_fleet(
-            SPEC, ShardedBackend(2, 2)
-        )
-        b1, b2 = run_fleet(SPEC, ShardedBackend(1, 2)), run_fleet(
-            SPEC, ShardedBackend(2, 2)
-        )
+        a1, a2 = run_fleet(SPEC, shard=(1, 2)), run_fleet(SPEC, shard=(2, 2))
+        b1, b2 = run_fleet(SPEC, shard=(1, 2)), run_fleet(SPEC, shard=(2, 2))
         a1.merge(a2)
         b2.merge(b1)
         assert _fleet_json(a1) == _fleet_json(b2)
@@ -240,9 +230,8 @@ class TestStreamingVsMaterialized:
 
     @pytest.mark.parametrize(
         "make_backend_under_test",
-        [SerialBackend, lambda: ProcessPoolBackend(jobs=2),
-         lambda: AsyncBackend(jobs=2)],
-        ids=["serial", "process", "async"],
+        [SerialBackend, lambda: AsyncBackend(jobs=2)],
+        ids=["serial", "pool"],
     )
     def test_reducer_matches_materialized(
         self, materialized, make_backend_under_test
@@ -254,7 +243,7 @@ class TestStreamingVsMaterialized:
 
     def test_sharded_reducers_merge_to_materialized(self, materialized):
         parts = [
-            SweepRunner(ShardedBackend(k, 2)).run_reduced(
+            SweepRunner(shard=(k, 2)).run_reduced(
                 _sweep_spec(), _SketchingReducer()
             )
             for k in (1, 2)
@@ -303,7 +292,7 @@ class _LeakCheckReducer(Reducer):
 @pytest.mark.parametrize(
     "make_backend_under_test",
     [SerialBackend, lambda: AsyncBackend(jobs=2)],
-    ids=["serial", "async"],
+    ids=["serial", "pool"],
 )
 def test_no_retention_path_holds_no_results(make_backend_under_test):
     spec = FleetSpec(
@@ -419,6 +408,37 @@ class TestFleetCli:
         printed = capsys.readouterr().out
         assert "Fleet of 6 devices" in printed
         assert "NOTE: partial" not in printed
+
+    @pytest.mark.parametrize("shard", ([], ["--shard", "2/2"]),
+                             ids=("unsharded", "sharded"))
+    def test_progress_samples_the_fleet_once(
+        self, shard, monkeypatch, capsys
+    ):
+        """``--progress`` sizes its meter from the plan ``run_fleet``
+        already made, instead of sampling and deduplicating the whole
+        fleet a second time."""
+        from repro.__main__ import main
+
+        calls = []
+        sample = FleetSpec.sample
+
+        def counted(spec):
+            calls.append(spec.devices)
+            return sample(spec)
+
+        monkeypatch.setattr(FleetSpec, "sample", counted)
+        assert main([
+            "--duration", "0.3", "--settle-ms", "150",
+            "fleet", "--devices", "6", "--bench-mix", "countdown.main=1",
+            "--progress", "--progress-every", "1", *shard,
+        ]) == 0
+        assert calls == [6]
+        units = FleetSpec(devices=6, bench_mix=(("countdown.main", 1.0),)).units()
+        owned = len(units[1::2]) if shard else len(units)
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("fleet: ")]
+        assert len(lines) == owned
+        assert lines[-1].startswith(f"fleet: {owned}/{owned} units (100%)")
 
     def test_fleet_needs_devices(self, capsys):
         from repro.__main__ import main

@@ -172,3 +172,69 @@ def test_corrupt_discard_still_warns_when_unlink_wins(tmp_path):
                      seed=1)
     cache.put("x", cfg, good)
     assert cache.get("x", cfg) == good
+
+
+# ----------------------------------------------------------------------
+# Malformed saved-result files are a clean ConfigError naming the path
+
+#: The four ways a saved result file goes wrong, each with the phrase the
+#: error must carry.  ``None`` content means the file does not exist; the
+#: missing-key payload is per loader (see MISSING_KEY below).
+MALFORMED = {
+    "missing-file": (None, "cannot read"),
+    "not-json": ("{not json", "is not valid JSON"),
+    "top-level-list": ("[1, 2]", "expected a JSON object, got list"),
+    "missing-key": ("", "missing key"),
+}
+
+#: A payload lacking one required key, and that key, per loader.
+MISSING_KEY = {
+    "suite": ('{"countdown.main": {"bench_id": "countdown.main"}}',
+              "'benchmark_comm'"),
+    "sweep": ('{"variants": {}, "cells": []}', "'axes'"),
+    "fleet": ('{"spec_digest": "0"}', "'spec'"),
+}
+
+
+def _write_malformed(tmp_path, loader: str, case: str) -> "tuple[str, str]":
+    """The malformed file for *case* and the phrase its error must carry."""
+    content, phrase = MALFORMED[case]
+    if case == "missing-key":
+        content, key = MISSING_KEY[loader]
+        phrase = f"{phrase} {key}"
+    path = tmp_path / f"{loader}.json"
+    if content is not None:
+        path.write_text(content)
+    return str(path), phrase
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_suite_load_rejects_malformed_file(tmp_path, case):
+    from repro.errors import ConfigError
+
+    path, phrase = _write_malformed(tmp_path, "suite", case)
+    with pytest.raises(ConfigError) as exc:
+        SuiteResult.load(path)
+    assert path in str(exc.value) and phrase in str(exc.value)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_sweep_load_rejects_malformed_file(tmp_path, case):
+    from repro.core.sweep import SweepResult
+    from repro.errors import ConfigError
+
+    path, phrase = _write_malformed(tmp_path, "sweep", case)
+    with pytest.raises(ConfigError) as exc:
+        SweepResult.load(path)
+    assert path in str(exc.value) and phrase in str(exc.value)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_fleet_load_rejects_malformed_file(tmp_path, case):
+    from repro.core.fleet import FleetResult
+    from repro.errors import ConfigError
+
+    path, phrase = _write_malformed(tmp_path, "fleet", case)
+    with pytest.raises(ConfigError) as exc:
+        FleetResult.load(path)
+    assert path in str(exc.value) and phrase in str(exc.value)

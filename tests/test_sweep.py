@@ -1,7 +1,7 @@
 """The parameter-sweep driver.
 
 The contract under test: a sweep grid expands deterministically, runs as
-one flat batch on any backend with results identical to a serial run,
+one flat batch on either backend with results identical to a serial run,
 reuses the result cache per point (sharing entries with plain suite
 runs), and round-trips through JSON.
 """
@@ -14,11 +14,10 @@ import pytest
 
 from repro.calibration import Calibration
 from repro.core import (
-    ProcessPoolBackend,
+    AsyncBackend,
     ResultCache,
     RunConfig,
     SerialBackend,
-    ShardedBackend,
     SuiteRunner,
     SweepAxis,
     SweepPoint,
@@ -213,8 +212,8 @@ class TestExpansion:
         spec = SweepSpec(benches=BENCHES,
                          axes=(SweepAxis("seed", (1, 2, 3)),), base=FAST)
         points = spec.expand()
-        first = ShardedBackend(1, 2).plan_batch(points)
-        second = ShardedBackend(2, 2).plan_batch(points)
+        first = SweepRunner(shard=(1, 2)).plan(spec)[2]
+        second = SweepRunner(shard=(2, 2)).plan(spec)[2]
         assert first + second != []
         assert sorted(p.label for p in first + second) == sorted(
             p.label for p in points
@@ -233,9 +232,9 @@ class TestSweepExecution:
         base=FAST,
     )
 
-    def test_interleaved_process_pool_matches_serial(self):
+    def test_interleaved_pool_matches_serial(self):
         serial = SweepRunner(backend=SerialBackend()).run(self.SPEC)
-        pooled = SweepRunner(backend=ProcessPoolBackend(jobs=3)).run(self.SPEC)
+        pooled = SweepRunner(backend=AsyncBackend(jobs=3)).run(self.SPEC)
         assert _sweep_json(serial) == _sweep_json(pooled)
 
     def test_grid_runs_as_one_flat_batch(self):
@@ -298,10 +297,9 @@ class TestSweepExecution:
         class LossyBackend(SerialBackend):
             name = "lossy"
 
-            def execute_batch(self, items, on_result=None):
+            def execute_stream(self, items, on_result):
                 # Drop the last item silently, never reporting it.
-                kept = list(items)[:-1]
-                return super().execute_batch(kept, on_result)
+                super().execute_stream(list(items)[:-1], on_result)
 
         spec = SweepSpec(benches=("countdown.main",),
                          axes=(SweepAxis("seed", (1, 2)),), base=FAST)
@@ -341,7 +339,7 @@ class TestSweepResultRoundTrip:
                          axes=(SweepAxis("seed", (1, 2)),), base=FAST)
         full = SweepRunner().run(spec)
         shards = [
-            SweepRunner(backend=ShardedBackend(k, 2)).run(spec)
+            SweepRunner(shard=(k, 2)).run(spec)
             for k in (1, 2)
         ]
         # Each shard holds a strict slice: its delta table has no
@@ -362,8 +360,8 @@ class TestSweepResultRoundTrip:
             base=FAST,
         )
         full = SweepRunner().run(spec)
-        merged = SweepRunner(backend=ShardedBackend(1, 2)).run(spec)
-        merged.merge(SweepRunner(backend=ShardedBackend(2, 2)).run(spec))
+        merged = SweepRunner(shard=(1, 2)).run(spec)
+        merged.merge(SweepRunner(shard=(2, 2)).run(spec))
         assert merged.benches() == list(spec.benches)
         assert json.dumps(merged.to_json_dict()) == json.dumps(
             full.to_json_dict()
@@ -540,7 +538,7 @@ class TestSweepCli:
         assert "cached" not in first
         assert "Sweep axis 'jit'" in first
 
-        assert main(argv + ["--backend", "serial", "--out", out_b]) == 0
+        assert main(argv + ["--jobs", "1", "--out", out_b]) == 0
         second = capsys.readouterr().out
         assert second.count("cached") == 2      # zero new simulations
         with open(out_a, "rb") as fa, open(out_b, "rb") as fb:
