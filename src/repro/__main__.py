@@ -26,9 +26,6 @@ Usage (installed as ``agave-repro`` or ``python -m repro``)::
         --preset-mix baseline=2,lowend=1 --jobs 4 --progress
     python -m repro fleet --devices 1000 --shard 1/2 --out shard1.json
     python -m repro fleet --merge shard1.json shard2.json
-    python -m repro serve .agave-cache --port 8750
-    python -m repro sweep --axis seed=1,2 --cache .local \\
-        --cache-url http://cachehost:8750
 
 Execution flags (``--jobs``, ``--cache``, ``--progress``) apply wherever
 benchmarks may actually run: ``suite``, ``sweep``, ``fleet``, and any
@@ -143,38 +140,13 @@ def _add_exec_flags(
                             help="run only the K-th of N deterministic shards")
     parser.add_argument("--cache", metavar="DIR",
                         help="content-addressed result cache directory")
-    parser.add_argument("--cache-url", metavar="URL",
-                        help="result-service URL (see 'repro serve') used "
-                             "as a second cache tier: local miss -> remote "
-                             "GET with local write-through, fresh runs "
-                             "published back with PUT")
-    parser.add_argument("--cache-revalidate", action="store_true",
-                        help="with --cache-url: confirm each local cache "
-                             "hit against the service once per run via "
-                             "conditional GET (If-None-Match on the "
-                             "entry's ETag; a 304 costs no body transfer)")
     parser.add_argument("--progress", action="store_true",
                         help="print a line as each benchmark completes")
 
 
-def _make_cache(args: argparse.Namespace):
-    """The cache tier(s) a command runs through.
-
-    ``--cache`` alone is the classic local directory; adding
-    ``--cache-url`` stacks the remote service behind it (and with no
-    local directory at all, lookups go straight to the service).
-    """
-    local = ResultCache(args.cache) if args.cache else None
-    url = getattr(args, "cache_url", None)
-    if not url:
-        return local
-    from repro.service import CacheClient, RemoteCacheBackend
-
-    return RemoteCacheBackend(
-        CacheClient(url),
-        local=local,
-        revalidate=getattr(args, "cache_revalidate", False),
-    )
+def _make_cache(args: argparse.Namespace) -> ResultCache | None:
+    """The ``--cache DIR`` result cache a command runs through, if any."""
+    return ResultCache(args.cache) if args.cache else None
 
 
 def _shard(args: argparse.Namespace) -> "tuple[int, int] | None":
@@ -398,31 +370,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the result service daemon until interrupted."""
-    from repro.service import make_server
-
-    server = make_server(
-        args.dir,
-        host=args.host,
-        port=args.port,
-        hot_bytes=args.hot_bytes,
-        max_age=args.max_age,
-        verbose=args.verbose,
-    )
-    host, port = server.server_address[:2]
-    print(f"result service: serving {args.dir} on http://{host}:{port}/ "
-          f"(hot tier {args.hot_bytes:,} bytes, max-age {args.max_age}s)",
-          flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
-
-
 def cmd_cache_stats(args: argparse.Namespace) -> int:
     # A stats query must not conjure the directory into existence: a
     # typo'd path should error, not report a healthy empty cache.
@@ -615,32 +562,6 @@ def make_parser() -> argparse.ArgumentParser:
                               "completed units instead of one line per unit")
     _add_exec_flags(p_fleet, sharding=True)
     p_fleet.set_defaults(func=cmd_fleet)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="serve a result-cache directory over HTTP (in-memory LRU "
-             "hot tier, conditional GET, write-through PUT publishing)",
-    )
-    p_serve.add_argument("dir", metavar="DIR",
-                         help="backing store directory (the same layout "
-                              "--cache uses; created if missing)")
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1; use "
-                              "0.0.0.0 to serve worker hosts)")
-    p_serve.add_argument("--port", type=int, default=8750,
-                         help="bind port (default 8750; 0 picks a free one)")
-    p_serve.add_argument("--hot-bytes", type=int, default=64 * 1024 * 1024,
-                         metavar="N",
-                         help="in-memory hot-tier byte budget; LRU entries "
-                              "evict to the backing store beyond it")
-    p_serve.add_argument("--max-age", type=int, default=86400,
-                         metavar="SECONDS",
-                         help="Cache-Control max-age sent with entries "
-                              "(content-addressed, so long lifetimes are "
-                              "safe)")
-    p_serve.add_argument("--verbose", action="store_true",
-                         help="log every request")
-    p_serve.set_defaults(func=cmd_serve)
 
     p_cache = sub.add_parser("cache", help="result-cache maintenance")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)

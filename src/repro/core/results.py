@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -451,11 +452,15 @@ class ResultCache:
     bumping ``repro.__version__`` invalidates everything at once, since
     a model change can shift results without any config change.
 
-    Opening a cache sweeps up stale ``*.tmp.<pid>`` droppings left by
-    writers that were killed mid-:meth:`put` (a tmp file is kept only
-    while its writer pid is still alive).  Corrupt entries are deleted
-    the moment a read trips over them, so one bad file can never turn
-    every future lookup of that key into a silent re-simulation.
+    Several processes, and several threads of one process, may share
+    one directory: each writer writes its own ``*.tmp.<pid>.<tid>``
+    file and publishes it with an atomic rename, so a reader sees a
+    whole entry or none.  Opening a cache sweeps up stale tmp droppings
+    left by writers that were killed mid-:meth:`put` (a tmp file is
+    kept only while its writer pid is still alive).  Corrupt entries
+    are deleted the moment a read trips over them, so one bad file can
+    never turn every future lookup of that key into a silent
+    re-simulation.
     """
 
     #: Hit/miss counters persisted in the cache directory (underscore
@@ -496,9 +501,10 @@ class ResultCache:
     def get(self, bench_id: str, cfg: "RunConfig") -> RunResult | None:
         """The stored run for this key, or ``None`` on a miss.
 
-        A corrupt entry (truncated write, bad JSON, missing fields) is
-        deleted — not left in place to shadow the key forever — and
-        counted as a miss, so the subsequent :meth:`put` heals the cache.
+        A corrupt entry (truncated write, bad UTF-8 or JSON, missing
+        fields) is deleted — not left in place to shadow the key
+        forever — and counted as a miss, so the subsequent :meth:`put`
+        heals the cache.
         """
         path = self._path(bench_id, cfg)
         try:
@@ -507,8 +513,8 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except json.JSONDecodeError:
-            self._discard_corrupt(path, "not valid JSON")
+        except ValueError:  # JSONDecodeError or UnicodeDecodeError
+            self._discard_corrupt(path, "not valid UTF-8 JSON")
             self.misses += 1
             return None
         try:
@@ -530,7 +536,7 @@ class ResultCache:
         the dropping would outlast every sweep until exit.
         """
         path = self._path(bench_id, cfg)
-        tmp = path + f".tmp.{os.getpid()}"
+        tmp = _tmp_path(path)
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(result.to_json_dict(), fh)
@@ -582,16 +588,17 @@ class ResultCache:
         )
 
     def sweep_stale_tmp(self) -> int:
-        """Delete this cache's ``*.json.tmp.<pid>`` files whose writer
-        is gone.
+        """Delete this cache's ``*.json.tmp.<pid>[.<tid>]`` files whose
+        writer is gone.
 
         A writer killed between the tmp write and the atomic rename
         leaves its tmp file behind forever; a tmp file whose pid is
         still a live process belongs to an in-flight :meth:`put` and is
         left alone.  Only files matching the cache's own tmp naming
-        (hex entry key or the stats file, ``.json.tmp.`` then digits)
-        are candidates — anything else in the directory is not ours to
-        delete.  Returns the number of files removed.
+        (hex entry key or the stats file, ``.json.tmp.`` then the pid
+        and an optional thread id) are candidates — anything else in
+        the directory is not ours to delete.  Returns the number of
+        files removed.
         """
         removed = 0
         for name in os.listdir(self.root):
@@ -720,7 +727,7 @@ class ResultCache:
             },
         }
         path = os.path.join(self.root, self.STATS_FILE)
-        tmp = path + f".tmp.{os.getpid()}"
+        tmp = _tmp_path(path)
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         os.replace(tmp, path)
@@ -765,8 +772,17 @@ class ResultCache:
 _ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 #: In-flight write droppings this cache may own: a hex entry key or the
-#: stats file, then ``.json.tmp.<pid>``.
-_TMP_NAME = re.compile(r"(?:[0-9a-f]{64}|_stats)\.json\.tmp\.(\d+)")
+#: stats file, then ``.json.tmp.<pid>.<tid>`` (or ``.json.tmp.<pid>``,
+#: the form older writers used).
+_TMP_NAME = re.compile(
+    r"(?:[0-9a-f]{64}|_stats)\.json\.tmp\.(\d+)(?:\.\d+)?"
+)
+
+
+def _tmp_path(path: str) -> str:
+    """A tmp name private to one writer: the pid alone would let two
+    threads of one process putting the same key clobber one file."""
+    return f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
 
 
 def _pid_alive(pid: int) -> bool:

@@ -12,10 +12,6 @@ into a single batch and hands it to an
 configs interleave in the pool instead of executing config-by-config —
 and reuses :class:`~repro.core.results.ResultCache` per point, so
 re-running an enlarged sweep only simulates the new cells.
-
-Every point is a picklable ``(bench_id, RunConfig)`` work item, which is
-exactly the unit a future remote/multi-host backend ships across
-machines.
 """
 
 from __future__ import annotations

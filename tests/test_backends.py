@@ -9,8 +9,11 @@ cache can stand in for either of them.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -292,12 +295,14 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss_and_is_deleted(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         path = tmp_path / (ResultCache.key(SUBSET[0], QUICK_CONFIG) + ".json")
-        path.write_text("{not json")
-        with pytest.warns(RuntimeWarning, match="corrupt cache entry"):
-            assert cache.get(SUBSET[0], QUICK_CONFIG) is None
-        assert cache.misses == 1
-        # The bad file is gone, so the next put() heals this key for good.
-        assert not path.exists()
+        bodies = (b"{not json", b"\xff\xfe\x00garbage")   # bad JSON, bad UTF-8
+        for misses, body in enumerate(bodies, start=1):
+            path.write_bytes(body)
+            with pytest.warns(RuntimeWarning, match="corrupt cache entry"):
+                assert cache.get(SUBSET[0], QUICK_CONFIG) is None
+            assert cache.misses == misses
+            # The bad file is gone, so the next put() heals this key.
+            assert not path.exists()
 
     def test_valid_json_wrong_shape_is_discarded(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -313,12 +318,57 @@ class TestResultCache:
         dead.write_text("{")
         alive = tmp_path / f"{key}.json.tmp.{os.getpid()}"
         alive.write_text("{")
+        # Per-writer names carry the writer's thread id after its pid.
+        dead_thread = tmp_path / "_stats.json.tmp.999999999.140000"
+        dead_thread.write_text("{")
+        alive_thread = tmp_path / f"{key}.json.tmp.{os.getpid()}.12345"
+        alive_thread.write_text("{")
         foreign = tmp_path / "notes.tmp.bak"
         foreign.write_text("mine")
         ResultCache(str(tmp_path))
         assert not dead.exists()          # writer long gone
+        assert not dead_thread.exists()
         assert alive.exists()             # in-flight writer is left alone
+        assert alive_thread.exists()
         assert foreign.exists()           # not our naming -> not our file
+
+    def test_concurrent_same_key_puts_never_collide_or_tear(self, tmp_path):
+        """Several writers may share one cache directory: 4 threads of
+        this process and 2 other processes put the same key at once.
+        Each writer writes its own tmp file and publishes it with an
+        atomic rename, so nothing raises, every read in between decodes
+        to the written result, and no tmp file outlives its writer."""
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(6)
+        errors: "list[Exception]" = []
+
+        def in_thread() -> None:
+            try:
+                _put_same_key(str(tmp_path), barrier)
+            except Exception as exc:
+                errors.append(exc)
+
+        procs = [
+            ctx.Process(target=_put_same_key, args=(str(tmp_path), barrier))
+            for _ in range(2)
+        ]
+        threads = [threading.Thread(target=in_thread) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the threads' puts finely
+        try:
+            for worker in procs + threads:
+                worker.start()
+            for worker in threads + procs:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in threads + procs)
+        assert errors == []
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        stored = ResultCache(str(tmp_path)).get(SUBSET[0], QUICK_CONFIG)
+        assert stored is not None
+        assert stored.to_json_dict() == _shared_run().to_json_dict()
+        assert list(tmp_path.glob("*.tmp.*")) == []
 
     def test_progress_distinguishes_cache_hits_from_fast_runs(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -344,6 +394,29 @@ class TestResultCache:
         assert stats.misses == 2          # first invocation's misses
         # The stats file itself never counts as an entry.
         assert len(ResultCache(str(tmp_path))) == 2
+
+
+def _shared_run():
+    """The one result every concurrent writer stores under one key."""
+    from repro.core import RunResult
+
+    return RunResult(bench_id=SUBSET[0], benchmark_comm=SUBSET[0],
+                     duration_ticks=1, seed=0,
+                     instr_by_region={"binary": 1},
+                     meta={"pad": "x" * 4096})
+
+
+def _put_same_key(root: str, barrier, rounds: int = 25) -> None:
+    """Put :func:`_shared_run` into the cache at *root* *rounds* times
+    once every writer is ready, reading the entry back after each put."""
+    cache = ResultCache(root)
+    run = _shared_run()
+    barrier.wait(timeout=30)
+    for _ in range(rounds):
+        cache.put(SUBSET[0], QUICK_CONFIG, run)
+        stored = cache.get(SUBSET[0], QUICK_CONFIG)
+        assert stored is not None
+        assert stored.to_json_dict() == run.to_json_dict()
 
 
 # ----------------------------------------------------------------------
@@ -685,19 +758,31 @@ class TestCli:
         ).read_bytes()
 
     @pytest.mark.parametrize("command", ("suite", "sweep", "fleet"))
-    @pytest.mark.parametrize("flag", (("backend", "serial"), ("window", "4")),
-                             ids=("backend", "window"))
+    @pytest.mark.parametrize("flag", (
+        ("--backend", "serial"),
+        ("--window", "4"),
+        ("--cache-url", "http://127.0.0.1:8750"),
+        ("--cache-revalidate",),
+    ), ids=("backend", "window", "cache-url", "cache-revalidate"))
     def test_parser_rejects_removed_flags(self, command, flag, capsys):
-        """``--jobs`` is the only execution choice: the flags that picked
-        a backend or pinned the pool's window are gone, not silently
-        ignored."""
+        """``--jobs`` is the only execution choice and ``--cache DIR`` the
+        only result cache: the flags that picked a backend, pinned the
+        pool's window or reached a networked result service are gone,
+        not silently ignored."""
         from repro.__main__ import main
 
-        option = f"--{flag[0]}"
         with pytest.raises(SystemExit) as exc:
-            main([command, option, flag[1]])
+            main([command, *flag])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_serve_subcommand_is_gone(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ("0", "-1"))
     @pytest.mark.parametrize("command", (
