@@ -33,7 +33,6 @@ from repro.calibration import (
     CpuSpec,
     parse_cpu_profile,
     profile_cpu_count,
-    use_calibration,
 )
 from repro.core import (
     AGAVE_IDS,
@@ -95,5 +94,4 @@ __all__ = [
     "profile_cpu_count",
     "shard_ids",
     "table1",
-    "use_calibration",
 ]

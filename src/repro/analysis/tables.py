@@ -67,10 +67,6 @@ class Table1:
                 return row.percent
         return 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        """{thread: percent} for every row."""
-        return {row.thread: row.percent for row in self.rows}
-
 
 def table1(
     suite: "SuiteResult", bench_ids: Iterable[str] | None = None

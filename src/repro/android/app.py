@@ -2,7 +2,7 @@
 
 :class:`AndroidApp` is the handle a benchmark workload programs against —
 a thin ActivityThread: it owns the process's Dalvik context, the window
-surface, the worker/AsyncTask pools and media sessions.  The launch
+surface, the worker/AsyncTask pools and audio tracks.  The launch
 protocol mirrors Android's: launcher -> ActivityManager (binder) ->
 zygote fork -> specialisation (as ``app_process``) -> window add ->
 first frame -> ``activity_idle``.
@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 from repro.android.audioflinger import AudioTrack, audiotrack_thread
 from repro.android.binder import transact
 from repro.android.surfaceflinger import Surface
-from repro.calibration import current
 from repro.dalvik.dex import app_dex
 from repro.dalvik.method import MethodTable
 from repro.dalvik.vm import DalvikContext, dalvik_context
@@ -31,7 +30,6 @@ from repro.sim.ticks import millis, seconds
 
 if TYPE_CHECKING:
     from repro.android.boot import AndroidStack
-    from repro.android.mediaserver import MediaSession
     from repro.kernel.task import Process, Task
 
 
@@ -116,7 +114,6 @@ class AndroidApp:
         self.methods = methods
         self.surface = surface
         self.asynctasks = AsyncTaskPool(self)
-        self.media_sessions: list["MediaSession"] = []
         self.audio_tracks: list[AudioTrack] = []
         self.frames_drawn = 0
         self._next_worker = 8
@@ -161,9 +158,13 @@ class AndroidApp:
         yield skia.canvas_setup(self.proc)
         npix = int(self.surface.pixels * max(min(coverage, 1.0), 0.0))
         if npix:
-            yield from skia.raster(self.proc, npix, self.surface.canvas_addr)
+            yield from skia.raster(
+                self.proc, self.ctx.cal, npix, self.surface.canvas_addr
+            )
         if glyphs:
-            yield from skia.draw_text(self.proc, glyphs, self.surface.canvas_addr)
+            yield from skia.draw_text(
+                self.proc, self.ctx.cal, glyphs, self.surface.canvas_addr
+            )
         # Frame-local garbage: iterators, text buffers, temporary rects.
         yield self.ctx.alloc(9_000 + glyphs * 8 + npix // 64)
         yield from self.surface.post()
@@ -184,7 +185,9 @@ class AndroidApp:
     def decode_bitmap(self, npix: int) -> Iterator[Op]:
         """Decode an image into the dalvik heap (BitmapFactory path)."""
         yield self.ctx.jni_call()
-        yield skia.decode_image(self.proc, npix, self.ctx.heap_addr(npix & 0xFFF))
+        yield skia.decode_image(
+            self.proc, self.ctx.cal, npix, self.ctx.heap_addr(npix & 0xFFF)
+        )
         yield self.ctx.alloc(npix * 2)
 
     # ------------------------------------------------------------------
@@ -212,23 +215,10 @@ class AndroidApp:
         """Start playback through mediaserver (binder round-trip)."""
         kernel = self.stack.system.kernel
         ref = self.stack.registry.lookup("media.player")
-        txn = yield from transact(
+        yield from transact(
             kernel, self.proc, ref, "play", payload_words=96,
             args={"file": file, "kind": kind},
         )
-        session = txn.reply["session"]
-        self.media_sessions.append(session)
-
-    def stop_media(self) -> Iterator[Op]:
-        """Stop every session this app started."""
-        kernel = self.stack.system.kernel
-        ref = self.stack.registry.lookup("media.player")
-        for session in self.media_sessions:
-            yield from transact(
-                kernel, self.proc, ref, "stop", payload_words=16,
-                args={"session": session},
-            )
-        self.media_sessions.clear()
 
     def start_game_audio(
         self, synth_lib: str = "libsonivox.so", synth_sym: str = "eas_render",
@@ -254,7 +244,8 @@ class AndroidApp:
         self.spawn_worker(synth, name="Thread-7")
         kernel = self.stack.system.kernel
         kernel.spawn_thread(
-            self.proc, "AudioTrackThread", audiotrack_thread(track, synth_buf)
+            self.proc, "AudioTrackThread",
+            audiotrack_thread(track, self.ctx.cal, synth_buf),
         )
         return track
 
@@ -306,7 +297,7 @@ def _fork_app(
     def main(task: "Task") -> Iterator[Op]:
         proc = task.process
         ctx = dalvik_context(proc)
-        methods = MethodTable.generate_cached(
+        methods = MethodTable.generate(
             seed=stack.system.seed ^ zlib.crc32(model.package.encode()) & 0xFFFF,
             prefix=model.package,
             count=model.method_count,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
-from repro.calibration import current
 from repro.kernel.syscalls import kernel_exec
 from repro.libs import regions
 from repro.libs.registry import mapped_object
@@ -20,6 +19,7 @@ from repro.sim.ops import Op, Sleep, merge_data
 from repro.sim.ticks import millis
 
 if TYPE_CHECKING:
+    from repro.calibration import Calibration
     from repro.kernel.task import Process, Task
     from repro.kernel.vma import VMA
     from repro.sim.devices import AudioDevice
@@ -98,7 +98,7 @@ class AudioFlinger:
             active = [t for t in self.tracks if t.active and t.buffered > 0]
             if not active:
                 continue
-            cal = current()
+            cal = self.system.calibration
             out_bytes = FRAMES_PER_MIX * BYTES_PER_FRAME
             insts = max(int(FRAMES_PER_MIX * cal.mix_insts_per_frame * len(active)), 64)
             data = [(t.server_addr, FRAMES_PER_MIX // 4) for t in active]
@@ -116,11 +116,12 @@ class AudioFlinger:
             self.mix_cycles += 1
 
 
-def audiotrack_thread(track: AudioTrack, source_addr: int):
+def audiotrack_thread(track: AudioTrack, cal: "Calibration", source_addr: int):
     """Behaviour factory for a client's AudioTrackThread.
 
     Moves pending PCM from the producer's decode buffer into the track's
-    shared memory (resampling + volume), 20ms at a time.
+    shared memory (resampling + volume), 20ms at a time, at *cal*'s
+    per-byte cost.
     """
 
     def behavior(task: "Task") -> Iterator[Op]:
@@ -129,7 +130,6 @@ def audiotrack_thread(track: AudioTrack, source_addr: int):
             yield Sleep(MIX_PERIOD_TICKS)
             if not track.active or track.pending_pcm <= 0:
                 continue
-            cal = current()
             chunk = min(track.pending_pcm, FRAMES_PER_MIX * BYTES_PER_FRAME * 2)
             insts = max(int(chunk * cal.audiotrack_insts_per_byte), 64)
             yield libmedia.call(

@@ -177,9 +177,9 @@ class _LauncherMain:
         surface = self.ss.sf.create_surface(proc, "home", 800, 480, z=0)
         yield ctx.resolve_classes(220)
         # Wallpaper + icon grid.
-        yield skia.decode_image(proc, 384_000, ctx.heap_addr(1))
+        yield skia.decode_image(proc, ctx.cal, 384_000, ctx.heap_addr(1))
         yield skia.canvas_setup(proc)
-        yield from skia.raster(proc, 384_000, surface.canvas_addr)
+        yield from skia.raster(proc, ctx.cal, 384_000, surface.canvas_addr)
         yield from surface.post()
         assert self.looper is not None
         yield from self.looper.behavior(task)
@@ -212,13 +212,13 @@ class _SystemUiMain:
         surface = self.ss.sf.create_surface(proc, "statusbar", 800, 38, z=10)
         yield ctx.resolve_classes(160)
         yield skia.canvas_setup(proc)
-        yield from skia.raster(proc, surface.pixels, surface.canvas_addr)
+        yield from skia.raster(proc, ctx.cal, surface.pixels, surface.canvas_addr)
         yield from surface.post()
         while True:
             yield Sleep(seconds(1))
             yield ctx.alloc(96)
             yield skia.canvas_setup(proc)
-            yield from skia.raster(proc, 6_000, surface.canvas_addr)
+            yield from skia.raster(proc, ctx.cal, 6_000, surface.canvas_addr)
             yield from surface.post()
 
 

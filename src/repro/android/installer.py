@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.calibration import current
 from repro.dalvik.dex import DexFile, map_dex
 from repro.dalvik.zygote import Zygote
 from repro.kernel.pagecache import File
@@ -81,12 +80,11 @@ class Installer:
             buf = bionic.alloc_buffer(proc, 256 * 1024)
             yield from system.fs.read(task, request.apk, request.apk.size, buf)
             # Unzip the APK and hash it for signature verification.
-            cal = current()
             apk_kb = max(request.apk.size // 1024, 1)
             libz = mapped_object(proc, "libz.so")
             yield libz.call(
                 "inflate_block",
-                insts=apk_kb * cal.inflate_insts_per_kb // 4,
+                insts=apk_kb * system.calibration.inflate_insts_per_kb // 4,
                 data=((buf, apk_kb * 6),),
             )
             libcrypto = mapped_object(proc, "libcrypto.so")
@@ -115,8 +113,7 @@ class Installer:
             yield from run_ctors(proc, DEXOPT_LIBS)
             dex_vma = map_dex(proc, dex)
             libdvm = mapped_object(proc, "libdvm.so")
-            cal = current()
-            total = request.dex_kb * cal.dexopt_insts_per_kb
+            total = request.dex_kb * system.calibration.dexopt_insts_per_kb
             # Verify + optimise in chunks so the scheduler can interleave.
             chunks = 16
             for i in range(chunks):

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Iterator
 from repro.android.audioflinger import AudioFlinger, AudioTrack, audiotrack_thread
 from repro.android.binder import BinderHost, ServiceRegistry, Transaction
 from repro.android.surfaceflinger import Surface, SurfaceFlinger
-from repro.calibration import current
 from repro.errors import ServiceError
 from repro.kernel.pagecache import File
 from repro.kernel.syscalls import kernel_exec
@@ -151,7 +150,7 @@ class MediaPlayerService:
         # underruns are what big.LITTLE pinning exists to prevent).
         kernel.spawn_thread(
             proc, "AudioTrackThread",
-            audiotrack_thread(track, session.decode_buf),
+            audiotrack_thread(track, self.system.calibration, session.decode_buf),
             affinity=self.system.big_cpu(1), nice=-16,
         )
         txn.reply["session"] = session
@@ -178,6 +177,7 @@ class MediaPlayerService:
         def behavior(task: "Task") -> Iterator[Op]:
             proc = self.proc
             fs = self.system.fs
+            cal = self.system.calibration
             while session.active:
                 yield from framework_veneer(proc, nlibs=3)
                 if session.kind == "mp3":
@@ -186,7 +186,7 @@ class MediaPlayerService:
                     )
                     for _ in range(MP3_BATCH):
                         yield stagefright.mp3_decode_frame(
-                            proc, session.in_buf, session.decode_buf
+                            proc, cal, session.in_buf, session.decode_buf
                         )
                         session.frames_decoded += 1
                         session.track.pending_pcm += stagefright.MP3_FRAME_PCM_BYTES
@@ -195,14 +195,14 @@ class MediaPlayerService:
                     yield from fs.read_warm(
                         task, session.file, 48 * 1024, session.in_buf
                     )
-                    yield stagefright.demux_sample(proc, session.in_buf)
+                    yield stagefright.demux_sample(proc, cal, session.in_buf)
                     surface = session.video_surface
                     npix = surface.pixels if surface is not None else 384_000
                     out_addr = (
                         surface.canvas_addr if surface is not None else session.decode_buf
                     )
                     yield stagefright.avc_decode_frame(
-                        proc, npix, session.in_buf, out_addr
+                        proc, cal, npix, session.in_buf, out_addr
                     )
                     session.video_frames += 1
                     # Overlay flip: decoded frame goes straight to fb0.
@@ -221,7 +221,7 @@ class MediaPlayerService:
                     # Audio side: one AAC frame batch every other video frame.
                     if session.video_frames % 2 == 0:
                         yield stagefright.aac_decode_frame(
-                            proc, session.in_buf, session.decode_buf
+                            proc, cal, session.in_buf, session.decode_buf
                         )
                         session.track.pending_pcm += 8_192
                     yield Sleep(millis(33))

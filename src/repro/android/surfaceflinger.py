@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.android.gralloc import GrallocAllocator, GrallocBuffer
-from repro.calibration import current
 from repro.kernel.vma import LABEL_FB0, PERM_RW, VMA, VMAKind
 from repro.libs import regions
 from repro.libs.registry import framework_veneer, mapped_object
@@ -138,7 +137,7 @@ class SurfaceFlinger:
             dirty = [l for l in self.visible_layers() if l.dirty]
             if not dirty:
                 continue
-            cal = current()
+            cal = self.system.calibration
             yield libsf.call("composite_setup")
             yield from framework_veneer(self.proc, nlibs=3, insts_each=110)
             fb_addr = self.fb_vma.start + 4_096

@@ -73,7 +73,7 @@ def boot_system_server(
 ) -> SystemServerHandle:
     """Fork and populate system_server."""
     kernel = system.kernel
-    methods = MethodTable.generate_cached(
+    methods = MethodTable.generate(
         seed=system.seed ^ 0x5E41, prefix="android.server", count=140, avg_bytecodes=360
     )
     main = _ServerMain()

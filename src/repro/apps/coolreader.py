@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.apps.base import AgaveAppModel
-from repro.calibration import current
 from repro.libs import regions, skia
 from repro.libs.registry import mapped_object
 from repro.sim.ops import Op, Sleep
@@ -45,11 +44,10 @@ class CoolReaderModel(AgaveAppModel):
 
         def preparse_chapter(worker: "Task") -> Iterator[Op]:
             libz = mapped_object(app.proc, "libz.so")
-            cal = current()
             yield from system.fs.read(worker, book, 96 * 1024, app.scratch_addr)
             yield libz.call(
                 "inflate_block",
-                insts=96 * cal.inflate_insts_per_kb,
+                insts=96 * app.ctx.cal.inflate_insts_per_kb,
                 data=((app.scratch_addr, 96 * 4),),
             )
             yield cr3.call(

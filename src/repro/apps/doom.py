@@ -73,7 +73,7 @@ class DoomModel(AgaveAppModel):
             )
             # Scale/blit to the window surface (mspace blitters).
             yield from skia.raster(
-                app.proc, app.surface.pixels, app.surface.canvas_addr
+                app.proc, app.ctx.cal, app.surface.pixels, app.surface.canvas_addr
             )
             yield from app.surface.post()
             app.frames_drawn += 1

@@ -52,7 +52,9 @@ class FrozenBubbleModel(AgaveAppModel):
                 # Sprite pass onto the surface from the game thread.
                 yield skia.canvas_setup(app.proc)
                 npix = int(app.surface.pixels * self.sprite_coverage)
-                yield from skia.raster(app.proc, npix, app.surface.canvas_addr)
+                yield from skia.raster(
+                    app.proc, app.ctx.cal, npix, app.surface.canvas_addr
+                )
                 yield from app.surface.post()
                 app.frames_drawn += 1
                 if frame % 45 == 0:

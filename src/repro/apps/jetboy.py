@@ -54,7 +54,8 @@ class JetBoyModel(AgaveAppModel):
                 yield from app.interpret_batch(3, worker)
                 yield skia.canvas_setup(app.proc)
                 yield from skia.raster(
-                    app.proc, int(app.surface.pixels * 0.8), app.surface.canvas_addr
+                    app.proc, app.ctx.cal, int(app.surface.pixels * 0.8),
+                    app.surface.canvas_addr,
                 )
                 yield from app.surface.post()
                 app.frames_drawn += 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.apps.base import AgaveAppModel
-from repro.calibration import current
 from repro.libs.registry import mapped_object
 from repro.sim.ops import Op, Sleep
 from repro.sim.ticks import millis
@@ -47,7 +46,7 @@ class _OdrBase(AgaveAppModel):
         parsed_q = system.kernel.new_waitq(f"odr:{self.document_name}")
 
         def parse_document(worker: "Task") -> Iterator[Op]:
-            cal = current()
+            cal = app.ctx.cal
             libz = mapped_object(app.proc, "libz.so")
             libexpat = mapped_object(app.proc, "libexpat.so")
             kb = self.document_kb

@@ -64,14 +64,18 @@ class SpecModel:
 
     #: Calibration results memoised per ``(model class, seed)``.  Every
     #: ``calibrate`` runs its real algorithm from ``self.seed`` alone
-    #: (none consume ``self.rng``), and :class:`IterationProfile` is
-    #: frozen, so sharing one result across model instances is
-    #: observably identical to recalibrating.  The key is the bench
-    #: seed, which a seed sweep changes on every point, so the memo
-    #: hits only when one process runs the same (bench, seed) under
-    #: several non-seed variants (JIT on/off, window length, a
-    #: calibration override) — e.g. a JIT ablation would otherwise
-    #: recalibrate sjeng, a multi-second kernel, once per JIT value.
+    #: (none consume ``self.rng`` or read the system's cost
+    #: :class:`~repro.calibration.Calibration`), and
+    #: :class:`IterationProfile` is frozen, so sharing one result across
+    #: model instances is observably identical to recalibrating.  The
+    #: key is the bench seed, which a seed sweep changes on every point,
+    #: so the memo hits only when one process runs the same (bench,
+    #: seed) under several non-seed variants (JIT on/off, window length,
+    #: a calibration override).  It stays because of one kernel: without
+    #: it, such an ablation of 458.sjeng reruns sjeng's ~4 s
+    #: exhaustive-minimax self-check once per variant.  When that
+    #: self-check leaves ``SjengModel.calibrate``, a miss costs at most
+    #: ~0.09 s and this memo can go with it.
     _profiles: "dict[tuple, IterationProfile]" = {}
     _PROFILES_MAX = 512
 

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.android.audioflinger import audiotrack_thread
 from repro.apps.base import AgaveAppModel
-from repro.calibration import current
 from repro.libs import regions, skia
 from repro.libs.registry import mapped_object
 from repro.sim.ops import Op, Sleep
@@ -50,7 +49,7 @@ class VlcMp3Model(AgaveAppModel):
         app.audio_tracks.append(track)
         media = self.file(media_name)
         media_vma = regions.map_asset(app.proc, media_name, media.size)
-        cal = current()
+        cal = app.ctx.cal
 
         def decode_loop(worker: "Task") -> Iterator[Op]:
             vlccore = mapped_object(app.proc, "libvlccore.so")
@@ -76,7 +75,8 @@ class VlcMp3Model(AgaveAppModel):
         app.spawn_worker(decode_loop)  # Thread-8
         kernel = system.kernel
         kernel.spawn_thread(
-            app.proc, "AudioTrackThread", audiotrack_thread(track, app.scratch_addr)
+            app.proc, "AudioTrackThread",
+            audiotrack_thread(track, cal, app.scratch_addr),
         )
 
     def run(self, app: "AndroidApp", task: "Task") -> Iterator[Op]:
@@ -117,7 +117,7 @@ class VlcMp4Model(AgaveAppModel):
     def run(self, app: "AndroidApp", task: "Task") -> Iterator[Op]:
         system = app.stack.system
         media = self.file("clip.mp4")
-        cal = current()
+        cal = app.ctx.cal
         track = app.stack.af.create_track(app.proc, "vlc-video-audio")
         track.active = True
         app.audio_tracks.append(track)
@@ -159,7 +159,8 @@ class VlcMp4Model(AgaveAppModel):
         app.spawn_worker(video_loop)  # Thread-8
         kernel = system.kernel
         kernel.spawn_thread(
-            app.proc, "AudioTrackThread", audiotrack_thread(track, app.scratch_addr)
+            app.proc, "AudioTrackThread",
+            audiotrack_thread(track, cal, app.scratch_addr),
         )
 
         while True:

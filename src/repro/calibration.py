@@ -1,11 +1,12 @@
 """Workload calibration constants.
 
 Every size-dependent instruction/reference cost in the stack reads from the
-module-level :data:`CAL` singleton, so the whole model can be re-scaled (or
-ablated) from one place.  Defaults were fitted so the suite-wide shapes
-match the paper's figures (see EXPERIMENTS.md); none of the *reported*
-percentages are hard-coded anywhere — they emerge from these per-unit
-costs and the workload structure.
+run's :class:`Calibration`, which :class:`~repro.sim.system.System` carries
+as ``system.calibration`` (set from ``RunConfig.calibration``), so the whole
+model can be re-scaled (or ablated) from one place.  Defaults were fitted so
+the suite-wide shapes match the paper's figures (see EXPERIMENTS.md); none
+of the *reported* percentages are hard-coded anywhere — they emerge from
+these per-unit costs and the workload structure.
 """
 
 from __future__ import annotations
@@ -93,11 +94,6 @@ class Calibration:
             blit_insts_per_pixel=self.blit_insts_per_pixel * factor,
             avc_insts_per_pixel=self.avc_insts_per_pixel * factor,
         )
-
-
-#: Mutable singleton consulted by the stack.  The runner swaps it for the
-#: duration of ablation runs via :func:`use_calibration`.
-CAL = Calibration()
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +201,3 @@ def profile_cpu_count(profile: str) -> int:
     """The number of cores a profile describes."""
     return len(parse_cpu_profile(profile))
 
-
-class use_calibration:
-    """Context manager temporarily replacing the global calibration."""
-
-    def __init__(self, cal: Calibration) -> None:
-        self._new = cal
-        self._old: Calibration | None = None
-
-    def __enter__(self) -> Calibration:
-        global CAL
-        self._old = CAL
-        CAL = self._new
-        return CAL
-
-    def __exit__(self, *exc_info: object) -> None:
-        global CAL
-        if self._old is not None:
-            CAL = self._old
-
-
-def current() -> Calibration:
-    """The calibration in effect (read at call time, not import time)."""
-    return CAL

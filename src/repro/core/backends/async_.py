@@ -6,8 +6,9 @@ with a seed derived only from ``(cfg.seed, bench_id)``, so runs are
 embarrassingly parallel.  Workers receive ``(bench_id, cfg)`` — the
 config (including any :class:`~repro.calibration.Calibration` override)
 pickles across the process boundary, and
-:func:`~repro.core.runner.execute_one` installs the override inside the
-worker, so no parent-process global state is relied upon.
+:func:`~repro.core.runner.execute_one` hands the override to the
+worker's fresh ``System``, so no parent-process global state is relied
+upon.
 
 Dispatch and completion handling overlap.  The calling thread streams
 work items into a bounded in-flight window (capping queued-result memory

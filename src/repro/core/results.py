@@ -248,11 +248,6 @@ class RunResult:
             return 0.0
         return sum(self.busy_ticks_by_cpu.values()) / self.any_busy_ticks
 
-    def cpu_busy_share(self, cpu_id: int) -> float:
-        """One CPU's share of total busy ticks."""
-        total = sum(self.busy_ticks_by_cpu.values())
-        return self.busy_ticks_by_cpu.get(cpu_id, 0) / total if total else 0.0
-
     def big_cpu_ids(self) -> list[int]:
         """CPU ids of the big cores under this run's profile.
 

@@ -9,7 +9,8 @@ are visible, as they are in Figures 3/4).
 Execution is split in two layers: :func:`execute_one` is a pure, picklable
 top-level function mapping ``(bench_id, config)`` to a :class:`RunResult`
 (every bit of run state — seed, JIT flag, calibration override — travels
-inside the config, so workers in other processes reproduce runs exactly),
+inside the config and onto the run's own :class:`~repro.sim.system.System`,
+so workers in other processes, or threads of one, reproduce runs exactly),
 and :class:`SuiteRunner` orchestrates batches: dedup, shard planning,
 cache lookups, and delegation to an
 :class:`~repro.core.backends.ExecutionBackend`.
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.android.app import start_activity
 from repro.android.boot import boot_android
-from repro.calibration import Calibration, profile_cpu_count, use_calibration
+from repro.calibration import Calibration, profile_cpu_count
 from repro.core.backends.base import shortfall_error
 from repro.core.backends.sharded import shard_ids
 from repro.core.results import ResultCache, RunResult, SuiteResult
@@ -58,7 +59,8 @@ class RunConfig:
     seed: int = 1234
     #: Dalvik trace JIT on/off (ablation knob).
     jit_enabled: bool = True
-    #: Optional calibration override (ablation knob).
+    #: Optional calibration override (ablation knob), handed to the
+    #: run's :class:`System`; ``None`` is the fitted default.
     calibration: Calibration | None = None
     #: Simulated cores (the SMP dimension).
     cpus: int = 1
@@ -105,7 +107,8 @@ class RunConfig:
         """Inverse of :meth:`to_json_dict`.
 
         Validates the knobs a config deserialised from external JSON
-        could smuggle in: a zero/negative measurement window, a negative
+        could smuggle in: an unknown key (top-level or inside
+        ``calibration``), a zero/negative measurement window, a negative
         settle, or a core count below one.
         """
         raw = dict(raw)
@@ -118,11 +121,17 @@ class RunConfig:
                 **raw,
             )
         except TypeError:
-            # cls(**raw) raises a bare TypeError on keys no field matches;
-            # name the offenders instead of leaking the constructor error.
+            # cls(**raw) and Calibration(**cal) raise a bare TypeError on
+            # keys no field matches; name the offenders instead of leaking
+            # the constructor error.
             unknown = sorted(
                 set(raw) - {f.name for f in cls.__dataclass_fields__.values()}
             )
+            if isinstance(cal, dict):
+                unknown += sorted(
+                    f"calibration.{key}"
+                    for key in set(cal) - set(Calibration.__dataclass_fields__)
+                )
             if unknown:
                 raise ConfigError(
                     f"unknown config key(s) in JSON: {', '.join(unknown)}"
@@ -161,21 +170,23 @@ def execute_one(bench_id: str, cfg: RunConfig) -> RunResult:
     """Execute one benchmark on a fresh system.
 
     Top-level and picklable so the pool backend can ship it to
-    workers; the calibration override is installed here, inside whichever
-    process runs the benchmark, rather than inherited ambiently.
+    workers.  Nothing is installed ambiently: the config's calibration
+    rides on the fresh :class:`System`, so concurrent calls on threads
+    of one process stay independent.
     """
-    spec = get_benchmark(bench_id)
-    if cfg.calibration is not None:
-        with use_calibration(cfg.calibration):
-            return _run_spec(spec, cfg)
-    return _run_spec(spec, cfg)
+    return _run_spec(get_benchmark(bench_id), cfg)
 
 
 def _prepared_system(spec: BenchmarkSpec, cfg: RunConfig):
     """``(system, stack, model)`` booted, with the workload model built
     (and, for Android benchmarks, its app installed), ready to settle."""
     seed = bench_seed(spec.bench_id, cfg)
-    system = System(seed=seed, cpus=cfg.cpus, cpu_profile=cfg.cpu_profile)
+    system = System(
+        seed=seed,
+        cpus=cfg.cpus,
+        cpu_profile=cfg.cpu_profile,
+        calibration=cfg.calibration,
+    )
     stack = boot_android(system, jit_enabled=cfg.jit_enabled)
     model = spec.factory(seed)
     if spec.is_android:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.calibration import current
 from repro.dalvik.vm import DalvikContext
 from repro.libs.registry import mapped_object
 from repro.sim.ops import Block, Op, Sleep
@@ -33,7 +32,7 @@ class GcThread:
                 yield Block(ctx.gc_waitq)
                 continue
             ctx.gc_pending = False
-            cal = current()
+            cal = ctx.cal
             live_kb = max(ctx.live_bytes // 1024, 64)
             total = int(live_kb * cal.gc_insts_per_kb)
             heap = ctx.heap_addr

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.calibration import current
 from repro.dalvik.vm import DalvikContext
 from repro.libs.registry import mapped_object
 from repro.sim.ops import Block, Op, merge_data
@@ -36,9 +35,8 @@ class CompilerThread:
             method = ctx.jit_queue.popleft()
             if method in ctx.compiled:
                 continue
-            cal = current()
             insts = max(
-                int(method.bytecodes * cal.jit_compile_insts_per_bytecode), 512
+                int(method.bytecodes * ctx.cal.jit_compile_insts_per_bytecode), 512
             )
             ctx.mark_compiled(method)
             yield libdvm.call(

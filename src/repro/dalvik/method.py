@@ -55,11 +55,6 @@ def make_method(
 class MethodTable:
     """A seeded population of methods for one application."""
 
-    #: Memoised populations for :meth:`generate_cached`, keyed by the
-    #: full argument tuple: ``(methods, post-generation rng state)``.
-    _generated: "dict[tuple, tuple[tuple[JavaMethod, ...], tuple]]" = {}
-    _GENERATED_MAX = 256
-
     def __init__(self, methods: list[JavaMethod], rng: random.Random) -> None:
         if not methods:
             raise ValueError("method table cannot be empty")
@@ -88,45 +83,6 @@ class MethodTable:
             methods.append(make_method(f"{prefix}.m{i:03d}", size, alloc))
         return cls(methods, rng)
 
-    @classmethod
-    def generate_cached(
-        cls,
-        seed: int,
-        prefix: str,
-        count: int = 60,
-        avg_bytecodes: int = 320,
-        alloc_fraction: float = 0.5,
-    ) -> "MethodTable":
-        """:meth:`generate`, memoised on the full argument tuple.
-
-        Every boot builds system_server's table and every app launch
-        builds the app's.  The seed argument derives from the bench
-        seed, which a seed sweep changes on every point, so the memo
-        hits only when one process runs the same (bench, seed) under
-        several non-seed variants (JIT on/off, window length, a
-        calibration override).
-
-        The population is observably a pure function of the arguments:
-        the :class:`JavaMethod` instances are frozen (safe to share
-        between tables) and the returned table's generator state equals
-        the state :meth:`generate` leaves behind, so runtime
-        ``pick``/``pick_batch`` draws continue identically.  Only the
-        per-table mutable parts (the methods list and the generator)
-        are rebuilt per call.
-        """
-        key = (seed, prefix, count, avg_bytecodes, alloc_fraction)
-        parts = cls._generated.get(key)
-        if parts is None:
-            table = cls.generate(seed, prefix, count, avg_bytecodes, alloc_fraction)
-            if len(cls._generated) >= cls._GENERATED_MAX:
-                cls._generated.pop(next(iter(cls._generated)))
-            cls._generated[key] = (tuple(table.methods), table._rng.getstate())
-            return table
-        methods, state = parts
-        rng = random.Random()
-        rng.setstate(state)
-        return cls(list(methods), rng)
-
     def pick(self) -> JavaMethod:
         """Draw one method following the popularity distribution."""
         return self._rng.choices(self.methods, weights=self._weights, k=1)[0]
@@ -134,10 +90,6 @@ class MethodTable:
     def pick_batch(self, n: int) -> list[JavaMethod]:
         """Draw *n* methods (with repetition)."""
         return self._rng.choices(self.methods, weights=self._weights, k=n)
-
-    def hot_set(self, n: int = 8) -> list[JavaMethod]:
-        """The *n* most popular methods (deterministic)."""
-        return self.methods[:n]
 
     def __len__(self) -> int:
         return len(self.methods)

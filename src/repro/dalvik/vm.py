@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.calibration import current
 from repro.dalvik.dex import BOOT_CLASSPATH, DexFile, map_dex
 from repro.dalvik.method import JavaMethod
 from repro.kernel.vma import (
@@ -34,6 +33,7 @@ from repro.libs.registry import mapped_object
 from repro.sim.ops import ExecBlock, merge_data
 
 if TYPE_CHECKING:
+    from repro.calibration import Calibration
     from repro.kernel.task import Process, Task
     from repro.kernel.waitq import WaitQueue
 
@@ -46,16 +46,23 @@ CONTEXT_KEY = "dalvik"
 
 
 class DalvikContext:
-    """Per-process Dalvik runtime state."""
+    """Per-process Dalvik runtime state.
+
+    *cal* is the owning system's calibration, passed in by the zygote.
+    Interpretation, JIT and GC costs read it here, and app code hands it
+    on to the Skia, Stagefright and AudioTrack cost helpers.
+    """
 
     def __init__(
         self,
         proc: "Process",
         waitq_factory,
+        cal: "Calibration",
         jit_enabled: bool = True,
         primary_dex: DexFile | None = None,
     ) -> None:
         self.proc = proc
+        self.cal = cal
         self.jit_enabled = jit_enabled
         # Zygote-forked children inherit the VM arenas from the parent's
         # map; only fresh (non-forked) runtimes create them.
@@ -140,7 +147,7 @@ class DalvikContext:
         self, method: JavaMethod, reps: int = 1, task: "Task | None" = None
     ) -> ExecBlock:
         """Execute *reps* invocations of *method* (interpreted or JIT)."""
-        cal = current()
+        cal = self.cal
         self.invocations += reps
         stack_pairs = (
             ((task.stack_addr(), method.stack_refs * reps),)
@@ -223,10 +230,9 @@ class DalvikContext:
     def _account_alloc(self, nbytes: int) -> None:
         if nbytes <= 0:
             return
-        cal = current()
         self.allocated_since_gc += nbytes
         self.live_bytes = min(self.live_bytes + nbytes, self.heap_vma.size)
-        if self.allocated_since_gc >= cal.gc_trigger_bytes and not self.gc_pending:
+        if self.allocated_since_gc >= self.cal.gc_trigger_bytes and not self.gc_pending:
             self.gc_pending = True
             self.allocated_since_gc = 0
             self.gc_waitq.wake_all()
@@ -243,9 +249,8 @@ class DalvikContext:
         """
         if method in self.compiled:
             return
-        cal = current()
         trace_bytes = max(method.bytecodes * 4, 128)
-        flush_limit = min(cal.jit_cache_flush_bytes, self.jit_vma.size - 4_096)
+        flush_limit = min(self.cal.jit_cache_flush_bytes, self.jit_vma.size - 4_096)
         if self._next_trace_slot + trace_bytes >= flush_limit:
             self.compiled.clear()
             self.method_heat.clear()

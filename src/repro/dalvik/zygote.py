@@ -102,7 +102,9 @@ class Zygote:
         for font, size in regions.FONT_ASSETS:
             regions.map_asset(proc, font, size)
         regions.map_asset(proc, *regions.FRAMEWORK_RES)
-        self.ctx = DalvikContext(proc, kernel.new_waitq, jit_enabled=False)
+        self.ctx = DalvikContext(
+            proc, kernel.new_waitq, self.system.calibration, jit_enabled=False
+        )
         self.proc = proc
         return proc
 
@@ -112,7 +114,7 @@ class Zygote:
         yield from run_ctors(proc, ZYGOTE_LIBS)
         yield self.ctx.resolve_classes(PRELOAD_CLASSES)
         # Preloaded drawables decoded into the zygote heap.
-        yield decode_image(proc, 380_000, self.ctx.heap_addr(1))
+        yield decode_image(proc, self.ctx.cal, 380_000, self.ctx.heap_addr(1))
         while True:
             yield Sleep(seconds(10))
 
@@ -143,7 +145,8 @@ class Zygote:
         if extra_libs:
             kernel.loader.map_many(child, resolve(extra_libs))
         ctx = DalvikContext(
-            child, kernel.new_waitq, jit_enabled=jit_enabled, primary_dex=primary_dex
+            child, kernel.new_waitq, self.system.calibration,
+            jit_enabled=jit_enabled, primary_dex=primary_dex,
         )
 
         kernel.attach_forked_main(

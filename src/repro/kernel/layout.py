@@ -43,11 +43,6 @@ def page_align_up(addr: int) -> int:
     return (addr + PAGE_SIZE - 1) & PAGE_MASK
 
 
-def page_align_down(addr: int) -> int:
-    """Round *addr* down to a page boundary."""
-    return addr & PAGE_MASK
-
-
 def is_kernel_addr(addr: int) -> bool:
     """True when *addr* falls in the kernel's part of the address space."""
     return addr >= KERNEL_BASE

@@ -29,10 +29,6 @@ class File:
     cached_bytes: int = 0
     reads: int = field(default=0)
 
-    def is_cached(self, nbytes: int) -> bool:
-        """True when the next *nbytes* are already in the page cache."""
-        return self.cached_bytes >= min(nbytes, self.size)
-
 
 class Filesystem:
     """Name -> File table plus read/write paths through the page cache."""

@@ -73,14 +73,3 @@ def syscall(
         "sys_" + name, SYSCALL_OVERHEAD_INSTS + insts, data_words, user_data
     )
 
-
-def page_fault(minor: bool = True) -> ExecBlock:
-    """A page-fault service path (minor faults are the common case)."""
-    if minor:
-        return kernel_exec("do_page_fault_minor", 900, 120)
-    return kernel_exec("do_page_fault_major", 4_000, 600)
-
-
-def context_switch() -> ExecBlock:
-    """Scheduler context-switch cost, charged to the outgoing task."""
-    return kernel_exec("__schedule", 800, 90)

@@ -110,11 +110,6 @@ class Task:
         """True until the task's behaviour generator is exhausted."""
         return self.state is not TaskState.ZOMBIE
 
-    @property
-    def is_kernel_thread(self) -> bool:
-        """Kernel threads have no user address space."""
-        return self.process.mm is None
-
     def set_name(self, name: str) -> None:
         """Rename the thread (names kept in full, unlike process comms)."""
         self.name = name

@@ -66,21 +66,3 @@ def memset(proc: "Process", dst: int, nbytes: int) -> ExecBlock:
     insts = max(nbytes // 16, 8)
     return libc.call("memset", insts=insts, data=((dst, max(nbytes // 32, 1)),))
 
-
-def heap_churn(proc: "Process", count: int, avg_size: int = 96) -> ExecBlock:
-    """*count* small malloc/free pairs (native object churn)."""
-    libc = mapped_object(proc, "libc.so")
-    if proc.mm is not None and proc.mm.heap_vma is None:
-        proc.mm.ensure_brk()
-        proc.mm.sbrk(64 * 1024)
-    heap = proc.mm.heap_vma if proc.mm is not None else None
-    addr = heap.start + heap.size // 2 if heap is not None else 0
-    insts = count * 230
-    return libc.call("malloc", insts=insts, data=((addr, count * 3),))
-
-
-def stack_work(task_stack_addr: int, refs: int) -> tuple[tuple[int, int], ...]:
-    """Data pairs for register spills / locals on the current stack."""
-    if refs <= 0 or task_stack_addr == 0:
-        return ()
-    return ((task_stack_addr, refs),)

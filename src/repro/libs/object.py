@@ -71,14 +71,6 @@ class SharedObject:
         except KeyError:
             raise LoaderError(f"{self.name}: undefined symbol {name!r}") from None
 
-    def add_symbol(self, name: str, insts: int, offset: int | None = None) -> Symbol:
-        """Register an extra symbol after construction."""
-        if offset is None:
-            offset = (len(self.symbols) * 64) % max(self.text_size - 4, 4)
-        sym = Symbol(name, offset, insts)
-        self.symbols[name] = sym
-        return sym
-
     def __repr__(self) -> str:
         return (
             f"SharedObject({self.name!r}, text={self.text_size:#x}, "

@@ -22,7 +22,6 @@ from repro.libs.object import MappedObject, SharedObject
 from repro.sim.ops import ExecBlock, Op
 
 if TYPE_CHECKING:
-    from repro.kernel.proc import Kernel
     from repro.kernel.task import Process
 
 KB = 1024
@@ -422,15 +421,6 @@ def run_ctors(proc: "Process", names: Iterable[str]) -> Iterator[Op]:
         if spec.has_reloc:
             data = ((mapped.data_addr(64), max(spec.data_kb * 2, 8)),)  # type: ignore[union-attr]
         yield ExecBlock(mapped.text_base, spec.ctor_insts, data)  # type: ignore[union-attr]
-
-
-def map_and_init(
-    kernel: "Kernel", proc: "Process", names: Iterable[str]
-) -> Iterator[Op]:
-    """Map libraries into *proc* then run their constructors."""
-    ordered = list(names)
-    kernel.loader.map_many(proc, resolve(ordered))
-    yield from run_ctors(proc, ordered)
 
 
 def mapped_object(proc: "Process", name: str) -> MappedObject:

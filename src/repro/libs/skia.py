@@ -5,30 +5,32 @@ specialised routines living in the process's executable ``mspace`` arena —
 so *instruction* fetches for pixel work land in the ``mspace`` region (the
 paper's top instruction region), while setup/shaping/decoding execute from
 ``libskia.so`` proper.
+
+The per-pixel and per-glyph costs come from the *cal* argument, the
+calibration of the system the calling process runs on.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.calibration import current
 from repro.libs import regions
 from repro.libs.registry import mapped_object
 from repro.sim.ops import ExecBlock, Op, merge_data
 
 if TYPE_CHECKING:
+    from repro.calibration import Calibration
     from repro.kernel.task import Process
 
 
 def raster_pixels(
-    proc: "Process", npix: int, target_addr: int | None = None
+    proc: "Process", cal: "Calibration", npix: int, target_addr: int | None = None
 ) -> ExecBlock:
     """Blit *npix* pixels from the mspace staging buffer to *target_addr*.
 
     Instructions execute from mspace (specialised blitters); data
     references hit the target surface and the staging buffer.
     """
-    cal = current()
     code = regions.mspace_code_addr(proc)
     staging = regions.mspace_buffer_addr(proc)
     if target_addr is None:
@@ -43,7 +45,7 @@ def raster_pixels(
 
 
 def raster(
-    proc: "Process", npix: int, target_addr: int | None = None
+    proc: "Process", cal: "Calibration", npix: int, target_addr: int | None = None
 ) -> Iterator[Op]:
     """Full rasterisation pass: SkDraw span walking (libskia) followed by
     the specialised inner-loop blit (mspace).
@@ -52,14 +54,13 @@ def raster(
     draw machinery lives in ``libskia.so`` while the hot blitters are the
     mspace-resident specialisations.
     """
-    cal = current()
     skia = mapped_object(proc, "libskia.so")
     yield skia.call(
         "path_fill",
         insts=max(int(npix * cal.skdraw_insts_per_pixel), 32),
         data=((skia.data_addr(768), max(npix // 64, 2)),),
     )
-    yield raster_pixels(proc, npix, target_addr)
+    yield raster_pixels(proc, cal, npix, target_addr)
 
 
 def canvas_setup(proc: "Process") -> ExecBlock:
@@ -69,14 +70,14 @@ def canvas_setup(proc: "Process") -> ExecBlock:
 
 
 def draw_text(
-    proc: "Process", nglyphs: int, target_addr: int, glyph_pixels: int = 140
+    proc: "Process", cal: "Calibration", nglyphs: int, target_addr: int,
+    glyph_pixels: int = 140,
 ) -> Iterator[Op]:
     """Shape then rasterise *nglyphs* glyphs onto the target surface.
 
     Shaping reads glyph outlines straight out of the mapped font file, so
     text-heavy apps light up the font regions on the data axis.
     """
-    cal = current()
     skia = mapped_object(proc, "libskia.so")
     data: list[tuple[int, int]] = [(skia.data_addr(512), max(nglyphs, 2))]
     font_addr = regions.asset_addr(proc, "DroidSans.ttf")
@@ -90,12 +91,13 @@ def draw_text(
         insts=max(nglyphs * cal.text_insts_per_glyph, 64),
         data=tuple(data),
     )
-    yield raster_pixels(proc, nglyphs * glyph_pixels, target_addr)
+    yield raster_pixels(proc, cal, nglyphs * glyph_pixels, target_addr)
 
 
-def decode_image(proc: "Process", npix: int, out_addr: int) -> ExecBlock:
+def decode_image(
+    proc: "Process", cal: "Calibration", npix: int, out_addr: int
+) -> ExecBlock:
     """Decode a compressed image into a pixel buffer (libskia codecs)."""
-    cal = current()
     skia = mapped_object(proc, "libskia.so")
     insts = max(int(npix * cal.decode_insts_per_pixel), 128)
     return skia.call(
@@ -104,13 +106,3 @@ def decode_image(proc: "Process", npix: int, out_addr: int) -> ExecBlock:
         data=((out_addr, max(npix // 8, 4)), (skia.data_addr(1024), npix // 64)),
     )
 
-
-def fill_path(proc: "Process", npix: int, target_addr: int) -> Iterator[Op]:
-    """Path tessellation in libskia followed by an mspace blit."""
-    skia = mapped_object(proc, "libskia.so")
-    yield skia.call(
-        "path_fill",
-        insts=max(npix // 3, 64),
-        data=((skia.data_addr(256), max(npix // 128, 2)),),
-    )
-    yield raster_pixels(proc, npix, target_addr)

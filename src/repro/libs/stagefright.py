@@ -1,19 +1,20 @@
 """Stagefright codec behaviours (mediaserver's decode engine).
 
-Per-frame costs come from :mod:`repro.calibration`; data references touch
-the compressed input buffer, the PCM/pixel output, and the codec's working
-state in ``libstagefright.so``'s data segment.
+Per-frame costs come from the *cal* argument, the calibration of the
+system mediaserver runs on; data references touch the compressed input
+buffer, the PCM/pixel output, and the codec's working state in
+``libstagefright.so``'s data segment.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.calibration import current
 from repro.libs.registry import mapped_object
 from repro.sim.ops import ExecBlock, merge_data
 
 if TYPE_CHECKING:
+    from repro.calibration import Calibration
     from repro.kernel.task import Process
 
 #: MP3: 1152 samples @44.1kHz -> 26.12ms per frame.
@@ -24,10 +25,11 @@ MP3_FRAME_PCM_BYTES = 1152 * 2 * 2
 AAC_FRAME_MS = 21.33
 
 
-def mp3_decode_frame(proc: "Process", in_addr: int, out_addr: int) -> ExecBlock:
+def mp3_decode_frame(
+    proc: "Process", cal: "Calibration", in_addr: int, out_addr: int
+) -> ExecBlock:
     """Decode one MP3 frame to PCM."""
     sf = mapped_object(proc, "libstagefright.so")
-    cal = current()
     return sf.call(
         "mp3_decode_frame",
         insts=cal.mp3_insts_per_frame,
@@ -39,10 +41,11 @@ def mp3_decode_frame(proc: "Process", in_addr: int, out_addr: int) -> ExecBlock:
     )
 
 
-def aac_decode_frame(proc: "Process", in_addr: int, out_addr: int) -> ExecBlock:
+def aac_decode_frame(
+    proc: "Process", cal: "Calibration", in_addr: int, out_addr: int
+) -> ExecBlock:
     """Decode one AAC frame to PCM."""
     sf = mapped_object(proc, "libstagefright.so")
-    cal = current()
     return sf.call(
         "aac_decode_frame",
         insts=cal.aac_insts_per_frame,
@@ -51,11 +54,10 @@ def aac_decode_frame(proc: "Process", in_addr: int, out_addr: int) -> ExecBlock:
 
 
 def avc_decode_frame(
-    proc: "Process", npix: int, in_addr: int, out_addr: int
+    proc: "Process", cal: "Calibration", npix: int, in_addr: int, out_addr: int
 ) -> ExecBlock:
     """Decode one H.264 frame of *npix* output pixels."""
     sf = mapped_object(proc, "libstagefright.so")
-    cal = current()
     insts = max(int(npix * cal.avc_insts_per_pixel), 1_000)
     return sf.call(
         "avc_decode_frame",
@@ -68,10 +70,9 @@ def avc_decode_frame(
     )
 
 
-def demux_sample(proc: "Process", in_addr: int) -> ExecBlock:
+def demux_sample(proc: "Process", cal: "Calibration", in_addr: int) -> ExecBlock:
     """Pull one sample out of an MP4/OGG container."""
     sf = mapped_object(proc, "libstagefright.so")
-    cal = current()
     return sf.call(
         "mp4_extract_sample",
         insts=cal.demux_insts_per_sample,

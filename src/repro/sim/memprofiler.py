@@ -137,14 +137,6 @@ class MemProfiler:
         """Distinct regions that served data references."""
         return len(self.data_by_region)
 
-    def process_names(self) -> set[str]:
-        """Distinct process comms that issued references."""
-        return set(self.instr_by_proc) | set(self.data_by_proc)
-
-    def thread_names(self) -> set[tuple[str, str]]:
-        """Distinct (process, thread) pairs that issued references."""
-        return set(self.refs_by_thread)
-
     def snapshot(self) -> dict[str, dict]:
         """Plain-dict copy of every counter (JSON-friendly keys applied
         later by :mod:`repro.core.results`)."""

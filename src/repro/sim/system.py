@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from repro.calibration import CpuSpec, parse_cpu_profile
+from repro.calibration import Calibration, CpuSpec, parse_cpu_profile
 from repro.kernel.kthreads import spawn_standard_kthreads
 from repro.kernel.pagecache import Filesystem
 from repro.kernel.proc import Kernel
@@ -33,6 +33,12 @@ class System:
     ``None`` — the default — is the symmetric reproducibility path:
     uniform cores under the round-robin policy, byte-identical to the
     pre-profile engine.
+
+    *calibration* is the run's per-unit cost model; ``None`` means the
+    fitted default.  Every cost site reads it from this system (directly,
+    through a process's Dalvik context, or as an argument from a caller
+    holding either), so concurrent simulations in one process never see
+    each other's calibration.
     """
 
     def __init__(
@@ -41,10 +47,12 @@ class System:
         devices: DeviceSet | None = None,
         cpus: int = 1,
         cpu_profile: str | None = None,
+        calibration: Calibration | None = None,
     ) -> None:
         if cpus < 1:
             raise ValueError(f"system needs cpus >= 1, got {cpus}")
         self.seed = seed
+        self.calibration = calibration if calibration is not None else Calibration()
         self.rng = random.Random(seed)
         self.clock = Clock()
         self.profiler = MemProfiler()
@@ -97,11 +105,6 @@ class System:
         if not bigs or len(bigs) == len(self.cpu_specs):
             return None
         return bigs[index % len(bigs)]
-
-    @property
-    def cpu_count(self) -> int:
-        """Number of simulated cores."""
-        return len(self.cpus)
 
     def boot_kernel(self) -> None:
         """Bring up the idle task and the standard kernel threads."""

@@ -2,28 +2,16 @@
 
 import pytest
 
-from repro import calibration
-from repro.calibration import Calibration, current, use_calibration
+from repro.calibration import CAL_PRESETS, Calibration
+from repro.sim.system import System
 
 
-def test_default_calibration_is_active():
-    assert current() is calibration.CAL
-
-
-def test_use_calibration_swaps_and_restores():
-    original = current()
-    custom = Calibration(sf_insts_per_pixel=99.0)
-    with use_calibration(custom):
-        assert current().sf_insts_per_pixel == 99.0
-    assert current() is original
-
-
-def test_use_calibration_restores_on_exception():
-    original = current()
-    with pytest.raises(RuntimeError):
-        with use_calibration(Calibration(sf_insts_per_pixel=1.0)):
-            raise RuntimeError("boom")
-    assert current() is original
+def test_system_carries_its_calibration():
+    """A run's calibration lives on its System: the fitted default unless
+    one is passed in."""
+    assert System().calibration == Calibration()
+    custom = CAL_PRESETS["lowend"]
+    assert System(calibration=custom).calibration is custom
 
 
 def test_scaled_multiplies_graphics_costs():

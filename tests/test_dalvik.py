@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.calibration import Calibration, use_calibration
 from repro.dalvik.method import MethodTable, make_method
 from repro.dalvik.vm import DalvikContext, dalvik_context
 from repro.dalvik.zygote import Zygote
@@ -20,7 +19,7 @@ from repro.sim.ticks import millis, seconds
 def dalvik_proc(system):
     proc = system.kernel.spawn_process("com.example.vm")
     system.kernel.loader.map_many(proc, resolve(DALVIK_RUNTIME_LIBS))
-    ctx = DalvikContext(proc, system.kernel.new_waitq)
+    ctx = DalvikContext(proc, system.kernel.new_waitq, system.calibration)
     return system, proc, ctx
 
 
@@ -80,11 +79,9 @@ def test_compiled_method_cheaper_than_interpreted(dalvik_proc):
 
 def test_jit_cache_flush_churns(dalvik_proc):
     _, _, ctx = dalvik_proc
-    cal = Calibration()
     methods = [make_method(f"m{i}", 900) for i in range(400)]
-    with use_calibration(cal):
-        for m in methods:
-            ctx.mark_compiled(m)
+    for m in methods:
+        ctx.mark_compiled(m)
     assert ctx.jit_flushes >= 1
     # After a flush, previously compiled methods are evicted.
     assert len(ctx.compiled) < len(methods)
@@ -99,7 +96,9 @@ def test_allocation_triggers_gc_pending(dalvik_proc):
 def test_disabled_jit_never_queues(system):
     proc = system.kernel.spawn_process("nojit")
     system.kernel.loader.map_many(proc, resolve(DALVIK_RUNTIME_LIBS))
-    ctx = DalvikContext(proc, system.kernel.new_waitq, jit_enabled=False)
+    ctx = DalvikContext(
+        proc, system.kernel.new_waitq, system.calibration, jit_enabled=False
+    )
     method = make_method("hot", 100)
     for _ in range(100):
         ctx.interpret(method)
@@ -116,22 +115,12 @@ def test_dalvik_context_lookup(dalvik_proc):
 # ---------------------------------------------------------------------------
 # MethodTable
 
-@pytest.mark.parametrize("build", ("generate", "cached-cold", "cached-warm"))
-def test_method_table_deterministic(build, monkeypatch):
-    """Every way of building a table yields the same methods and the
-    same runtime draws: ``generate`` twice, and ``generate_cached``
-    with its memo cold or warm."""
-    monkeypatch.setattr(MethodTable, "_generated", {})
+@pytest.mark.parametrize("build", ("generate",))
+def test_method_table_deterministic(build):
+    """Two tables generated from one seed hold the same methods and make
+    the same runtime draws."""
     ref = MethodTable.generate(seed=7, prefix="x")
-    if build == "generate":
-        table = MethodTable.generate(seed=7, prefix="x")
-    elif build == "cached-cold":
-        table = MethodTable.generate_cached(seed=7, prefix="x")
-    else:
-        first = MethodTable.generate_cached(seed=7, prefix="x")
-        first.pick_batch(32)  # must not advance the memoised state
-        table = MethodTable.generate_cached(seed=7, prefix="x")
-        assert table is not first and table.methods is not first.methods
+    table = MethodTable.generate(seed=7, prefix="x")
     assert [m.name for m in table.methods] == [m.name for m in ref.methods]
     assert table.methods == ref.methods
     assert table.pick_batch(32) == ref.pick_batch(32)

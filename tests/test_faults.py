@@ -9,7 +9,8 @@ The load-bearing contracts:
 - every probabilistic draw derives from ``bench_seed``, so a faulted run
   is still a pure function of ``(bench_id, RunConfig)``;
 - the armed injector belongs to its own system, so concurrent runs in
-  one process never fire each other's faults;
+  one process never fire each other's faults (nor, since the calibration
+  rides on the system too, cost each other's work);
 - the analysis layer can tell faults the stack absorbs from faults it
   amplifies.
 """
@@ -38,6 +39,7 @@ from repro.core import (
 )
 from repro.android.app import start_activity
 from repro.android.boot import boot_android
+from repro.calibration import Calibration, calibration_preset
 from repro.core.runner import _prepared_system, bench_seed, execute_one
 from repro.core.suite import get_benchmark
 from repro.core.sweep import parse_axis
@@ -197,7 +199,8 @@ class TestInjection:
 
 
 # ----------------------------------------------------------------------
-# Concurrency: the injector is per-system state, not a process global
+# Concurrency: the injector and the calibration are per-system state,
+# not process globals
 
 #: One cell per thread: three plans plus a fault-free run that must not
 #: fire anyone else's faults.  The 300 ms window covers every event of
@@ -210,19 +213,31 @@ THREADED_CELLS = (
 )
 
 
-def _threaded_config(plan: "str | None") -> RunConfig:
+#: One cell per thread: two device-class presets, a scaled calibration
+#: and the fitted default, each of which must cost only its own run.
+CALIBRATED_CELLS = (
+    ("music.mp3.view", "lowend", calibration_preset("lowend")),
+    ("vlc.mp4.view", "highend", calibration_preset("highend")),
+    ("countdown.main", "scaled(3.0)", Calibration().scaled(3.0)),
+    ("doom.main", "default", None),
+)
+
+
+def _threaded_config(
+    plan: "str | None", calibration: "Calibration | None" = None
+) -> RunConfig:
     return RunConfig(
         duration_ticks=millis(300),
         settle_ticks=millis(100),
+        calibration=calibration,
         faults=fault_plan(plan) if plan is not None else None,
     )
 
 
-def test_concurrent_runs_in_one_process_keep_their_own_faults():
-    """Four runs on four threads, switching every 10 us, each reproduce
-    the bytes of the same run done serially."""
-    cells = [(bench, _threaded_config(plan)) for bench, plan in THREADED_CELLS]
-    reference = [_bytes(execute_one(bench, cfg)) for bench, cfg in cells]
+def _assert_threads_match_serial(cells) -> None:
+    """Run every ``(bench, cfg, label)`` cell on its own thread, three
+    rounds over, and compare each with its serial run's bytes."""
+    reference = [_bytes(execute_one(bench, cfg)) for bench, cfg, _ in cells]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -230,8 +245,9 @@ def test_concurrent_runs_in_one_process_keep_their_own_faults():
             out: "list[bytes | Exception | None]" = [None] * len(cells)
 
             def work(index: int) -> None:
+                bench, cfg, _ = cells[index]
                 try:
-                    out[index] = _bytes(execute_one(*cells[index]))
+                    out[index] = _bytes(execute_one(bench, cfg))
                 except Exception as exc:  # reported by the assert below
                     out[index] = exc
 
@@ -244,11 +260,28 @@ def test_concurrent_runs_in_one_process_keep_their_own_faults():
             for thread in threads:
                 thread.join(timeout=120)
                 assert not thread.is_alive()
-            for (bench, cfg), got, want in zip(cells, out, reference):
-                plan = cfg.faults.name if cfg.faults else "none"
-                assert got == want, f"{bench} under {plan}: {got!r:.200}"
+            for (bench, _, label), got, want in zip(cells, out, reference):
+                assert got == want, f"{bench} under {label}: {got!r:.200}"
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_concurrent_runs_in_one_process_keep_their_own_faults():
+    """Four runs on four threads, switching every 10 us, each reproduce
+    the bytes of the same run done serially."""
+    _assert_threads_match_serial([
+        (bench, _threaded_config(plan), plan or "none")
+        for bench, plan in THREADED_CELLS
+    ])
+
+
+def test_concurrent_runs_in_one_process_keep_their_own_calibration():
+    """Four runs under four calibrations on four threads, switching every
+    10 us, each reproduce the bytes of the same run done serially."""
+    _assert_threads_match_serial([
+        (bench, _threaded_config(None, calibration=cal), label)
+        for bench, label, cal in CALIBRATED_CELLS
+    ])
 
 
 class _SlicedRun:

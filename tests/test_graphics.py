@@ -47,7 +47,9 @@ def test_post_triggers_composition(stack):
     before = st.sf.frames_composited
 
     def drawer(task):
-        yield skia.raster_pixels(client, surface.pixels, surface.canvas_addr)
+        yield skia.raster_pixels(
+            client, system.calibration, surface.pixels, surface.canvas_addr
+        )
         yield from surface.post()
         yield Sleep(seconds(1))
 
@@ -117,15 +119,15 @@ def test_visible_layers_sorted_by_z(stack):
 def test_raster_executes_from_mspace(system):
     proc = system.kernel.spawn_process("painter")
     regions.ensure_mspace(proc)
-    block = skia.raster_pixels(proc, 1_000)
+    block = skia.raster_pixels(proc, system.calibration, 1_000)
     assert proc.mm.find_vma(block.code_addr).label == "mspace"
 
 
 def test_raster_cost_scales_with_pixels(system):
     proc = system.kernel.spawn_process("painter")
     regions.ensure_mspace(proc)
-    small = skia.raster_pixels(proc, 1_000)
-    large = skia.raster_pixels(proc, 100_000)
+    small = skia.raster_pixels(proc, system.calibration, 1_000)
+    large = skia.raster_pixels(proc, system.calibration, 100_000)
     assert large.insts > small.insts * 50
 
 
@@ -139,7 +141,9 @@ def test_draw_text_reads_font_when_mapped(system):
         ),
     )
     regions.map_asset(proc, "DroidSans.ttf", 192 * 1024)
-    ops = list(skia.draw_text(proc, 100, regions.mspace_buffer_addr(proc)))
+    ops = list(skia.draw_text(
+        proc, system.calibration, 100, regions.mspace_buffer_addr(proc)
+    ))
     shape = ops[0]
     labels = {proc.mm.find_vma(a).label for a, _ in shape.data}
     assert "DroidSans.ttf" in labels

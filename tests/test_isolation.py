@@ -1,13 +1,14 @@
 """Every run boots its own system: seed derivation, isolation between
-systems in one process, boot determinism, and the in-process memos.
+systems in one process, boot determinism, and the in-process memo.
 
 A run is a pure function of ``(bench_id, RunConfig)``.  Within one
-process that rests on three properties pinned here: the per-benchmark
+process that rests on four properties pinned here: the per-benchmark
 seed depends only on the base seed and the bench id; two booted systems
-share no mutable object, so driving one never moves another; and the
-two memos (``SpecModel._profiles`` and ``MethodTable.generate_cached``)
-that serve repeated (bench, seed) pairs return exactly what a cold
-build would.
+share no mutable object, so driving one never moves another; the run's
+calibration rides on its own system, so a run driven step by step from
+``_prepared_system`` matches :func:`execute_one`; and the memo that
+serves repeated (bench, seed) pairs, ``SpecModel._profiles``, returns
+exactly what a cold calibration would.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import json
 
 import pytest
 
+from repro.android.app import start_activity
 from repro.apps.spec.base import SpecModel
-from repro.calibration import Calibration
+from repro.calibration import Calibration, calibration_preset
 from repro.core import RunConfig, execute_one
 from repro.core.runner import _prepared_system, bench_seed
 from repro.core.suite import benchmarks, get_benchmark
-from repro.dalvik.method import MethodTable
 from repro.faults import fault_plan
 from repro.sim.ticks import millis
 
@@ -178,24 +179,30 @@ def test_two_boots_match_at_the_settle_point(bench_id, cfg):
     assert states[0][0] >= cfg.settle_ticks
 
 
+def test_stepwise_run_from_prepared_system_matches_execute_one():
+    """``_prepared_system`` boots under ``cfg.calibration`` itself, so a
+    run driven step by step from it retires what :func:`execute_one`
+    does under a calibration preset."""
+    cfg = RunConfig(duration_ticks=millis(300), settle_ticks=millis(200),
+                    calibration=calibration_preset("lowend"))
+    spec = get_benchmark(AGAVE)
+    system, stack, model = _prepared_system(spec, cfg)
+    system.run_for(cfg.settle_ticks)
+    system.profiler.reset()
+    start_activity(stack, model, background=spec.background)
+    system.run_for(cfg.duration_ticks)
+    assert (dict(system.profiler.refs_by_thread)
+            == execute_one(AGAVE, cfg).refs_by_thread)
+
+
 # ----------------------------------------------------------------------
-# (d) The memos: a warm hit under another variant equals a cold build
+# (d) The memo: a warm hit under another variant equals a cold build
 
 
 @pytest.fixture()
-def cold_memos(monkeypatch):
-    """Empty both memos for the test and restore them afterwards."""
+def cold_memo(monkeypatch):
+    """Empty the SPEC profile memo for the test and restore it after."""
     monkeypatch.setattr(SpecModel, "_profiles", {})
-    monkeypatch.setattr(MethodTable, "_generated", {})
-
-
-def _memo_sizes() -> tuple[int, int]:
-    return len(SpecModel._profiles), len(MethodTable._generated)
-
-
-def _clear_memos() -> None:
-    SpecModel._profiles.clear()
-    MethodTable._generated.clear()
 
 
 @pytest.mark.parametrize(
@@ -220,17 +227,16 @@ def _clear_memos() -> None:
 )
 @pytest.mark.parametrize("bench_id", BENCHES)
 def test_memo_hit_under_a_variant_matches_a_cold_run(
-    bench_id, variant, cold_memos
+    bench_id, variant, cold_memo
 ):
-    """Run the base config to warm the memos at this (bench, seed), then
-    the variant: it is served from the memos (they do not grow) and its
-    bytes equal the variant run with both memos empty."""
+    """Run the base config to warm the memo at this (bench, seed), then
+    the variant: a SPEC bench is served from the memo (it does not grow),
+    and for every bench the variant's bytes equal its run with the memo
+    empty."""
     cold = _result_bytes(bench_id, variant)
-    _clear_memos()
+    SpecModel._profiles.clear()
     execute_one(bench_id, FAST)
-    warm_sizes = _memo_sizes()
-    assert warm_sizes[1] >= 1               # system_server's table at least
-    if bench_id == SPEC:
-        assert warm_sizes[0] == 1
+    warm_size = len(SpecModel._profiles)
+    assert warm_size == (1 if bench_id == SPEC else 0)
     assert _result_bytes(bench_id, variant) == cold
-    assert _memo_sizes() == warm_sizes
+    assert len(SpecModel._profiles) == warm_size

@@ -78,13 +78,16 @@ def test_run_config_from_json_rejects_degenerate_windows():
 
 
 def test_run_config_from_json_names_unknown_keys():
-    """An unrecognised key used to surface as a bare ``TypeError`` from
-    the dataclass constructor; it must be a ConfigError naming the key."""
+    """An unrecognised key, top-level or inside ``calibration``, used to
+    surface as a bare ``TypeError`` from a dataclass constructor; it must
+    be a ConfigError naming the key."""
     from repro.errors import ConfigError
 
     raw = {**RunConfig().to_json_dict(), "warp_factor": 9}
     with pytest.raises(ConfigError, match="warp_factor"):
         RunConfig.from_json_dict(raw)
+    with pytest.raises(ConfigError, match="calibration.bogus"):
+        RunConfig.from_json_dict({"calibration": {"bogus": 1}})
 
 
 def test_quick_config_sane():
