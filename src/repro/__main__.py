@@ -16,7 +16,7 @@ Usage (installed as ``agave-repro`` or ``python -m repro``)::
     python -m repro --cpus 4 smp --cache .agave-cache
     python -m repro cache stats .agave-cache
     python -m repro cache gc .agave-cache --max-bytes 50000000 --dry-run
-    python -m repro cache gc .agave-cache --max-entries 100 --lru
+    python -m repro cache gc .agave-cache --max-entries 100
     python -m repro sweep --axis duration=0.5,1,2
     python -m repro sweep --axis cal.preset=baseline,lowend,highend
     python -m repro --faults chaos run vlc.mp4.view
@@ -397,8 +397,7 @@ def cmd_cache_gc(args: argparse.Namespace) -> int:
         )
     cache = ResultCache(args.dir)
     report = cache.gc(max_bytes=args.max_bytes, max_age=args.max_age,
-                      max_entries=args.max_entries, dry_run=args.dry_run,
-                      lru=args.lru)
+                      max_entries=args.max_entries, dry_run=args.dry_run)
     verb = "would evict" if args.dry_run else "evicted"
     print(f"cache:   {cache.root}")
     print(f"{verb}: {report.removed_entries} entries "
@@ -582,11 +581,6 @@ def make_parser() -> argparse.ArgumentParser:
                       help="evict entries last written more than SECONDS ago")
     p_gc.add_argument("--max-entries", type=int, metavar="N",
                       help="evict oldest entries until at most N remain")
-    p_gc.add_argument("--lru", action="store_true",
-                      help="evict by last hit instead of write age: "
-                           "never-hit entries go first, recently-used "
-                           "entries survive however old their bytes are "
-                           "(--max-age still cuts on write age)")
     p_gc.add_argument("--dry-run", action="store_true",
                       help="report what would be evicted without deleting")
     p_gc.set_defaults(func=cmd_cache_gc)

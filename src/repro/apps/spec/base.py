@@ -14,8 +14,6 @@ classic text/stack/heap trio, and the only visibly competing process is
 
 from __future__ import annotations
 
-import random
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -62,26 +60,8 @@ class SpecModel:
     #: Native instructions represented by one counted algorithm operation.
     insts_per_op = 6
 
-    #: Calibration results memoised per ``(model class, seed)``.  Every
-    #: ``calibrate`` runs its real algorithm from ``self.seed`` alone
-    #: (none consume ``self.rng`` or read the system's cost
-    #: :class:`~repro.calibration.Calibration`), and
-    #: :class:`IterationProfile` is frozen, so sharing one result across
-    #: model instances is observably identical to recalibrating.  The
-    #: key is the bench seed, which a seed sweep changes on every point,
-    #: so the memo hits only when one process runs the same (bench,
-    #: seed) under several non-seed variants (JIT on/off, window length,
-    #: a calibration override).  It stays because of one kernel: without
-    #: it, such an ablation of 458.sjeng reruns sjeng's ~4 s
-    #: exhaustive-minimax self-check once per variant.  When that
-    #: self-check leaves ``SjengModel.calibrate``, a miss costs at most
-    #: ~0.09 s and this memo can go with it.
-    _profiles: "dict[tuple, IterationProfile]" = {}
-    _PROFILES_MAX = 512
-
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.rng = random.Random(seed ^ zlib.crc32(self.name.encode()) & 0xFFFFFF)
         self._profile: IterationProfile | None = None
 
     # ------------------------------------------------------------------
@@ -92,16 +72,10 @@ class SpecModel:
 
     @property
     def profile(self) -> IterationProfile:
-        """Cached calibration result."""
+        """The calibration result: :meth:`calibrate` runs on the first read
+        and the result is kept on this instance, never shared with another."""
         if self._profile is None:
-            key = (type(self), self.seed)
-            cached = SpecModel._profiles.get(key)
-            if cached is None:
-                cached = self.calibrate()
-                if len(SpecModel._profiles) >= SpecModel._PROFILES_MAX:
-                    SpecModel._profiles.pop(next(iter(SpecModel._profiles)))
-                SpecModel._profiles[key] = cached
-            self._profile = cached
+            self._profile = self.calibrate()
         return self._profile
 
     # ------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The calibration kernel is a real negamax alpha-beta search over a small
 deterministic board game ("pick-a-pile" Nim variant with positional
 scoring) that exercises the shape of chess search: deep recursion,
-move generation, evaluation at the leaves.  Tests verify the search
-against exhaustive minimax on tiny positions.  sjeng's footprint is
+move generation, evaluation at the leaves.  Tier-1 tests check the
+search against exhaustive minimax on tiny positions and at the calibration
+position, so calibration runs only alpha-beta.  sjeng's footprint is
 stack-heavy (recursion) with small-table heap traffic.
 """
 
@@ -78,7 +79,8 @@ def negamax(
 
 
 def minimax_reference(piles: tuple[int, ...], depth: int) -> int:
-    """Plain minimax for verifying alpha-beta equivalence on tiny trees."""
+    """Plain, unpruned minimax: the reference :func:`negamax` is tested
+    against, at ``SjengModel.CAL_POSITION`` too.  Calibration never calls it."""
     moves = legal_moves(piles)
     if not moves:
         return -100
@@ -105,12 +107,7 @@ class SjengModel(SpecModel):
 
     def calibrate(self) -> IterationProfile:
         stats = SearchStats()
-        score = negamax(self.CAL_POSITION, self.CAL_DEPTH, -(10**9), 10**9, stats)
-        reference = minimax_reference(self.CAL_POSITION, self.CAL_DEPTH)
-        if score != reference:
-            raise AssertionError(
-                f"sjeng alpha-beta ({score}) disagrees with minimax ({reference})"
-            )
+        negamax(self.CAL_POSITION, self.CAL_DEPTH, -(10**9), 10**9, stats)
         scale = self.POSITIONS_PER_ITERATION
         ops = stats.nodes * 4 + stats.moves_generated + stats.evals * 6
         return IterationProfile(

@@ -612,7 +612,6 @@ class ResultCache:
         now: float | None = None,
         max_entries: int | None = None,
         dry_run: bool = False,
-        lru: bool = False,
     ) -> GcReport:
         """Evict run entries oldest-first until the cache fits the bounds.
 
@@ -631,14 +630,6 @@ class ResultCache:
         entry whose unlink fails is reported as kept, and with every
         bound ``None`` the pass is a no-op report.
 
-        *lru* flips to pure last-hit ordering: eviction ranks entries by
-        last-hit timestamp alone (never-hit entries first, then the
-        entry name as tie-break), ignoring write age entirely — an
-        entry written long ago but hit this morning outlives one written
-        yesterday and never read since.  *max_age* still cuts on
-        modification time; it bounds staleness of the stored bytes, not
-        of their use.
-
         *dry_run* reports what the same bounds *would* evict without
         unlinking anything — the report reads exactly like a real pass.
         """
@@ -653,10 +644,7 @@ class ResultCache:
             entries.append(
                 (info.st_mtime, last_hits.get(name, 0.0), name, info.st_size)
             )
-        if lru:
-            entries.sort(key=lambda e: (e[1], e[2]))
-        else:
-            entries.sort()
+        entries.sort()
         if now is None:
             now = time.time()
 

@@ -35,6 +35,7 @@ from repro.core.suite import benchmarks, get_benchmark
 from repro.errors import ConfigError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.jsonform import check_fields
 from repro.kernel.layout import truncate_comm
 from repro.sim.system import System
 from repro.sim.ticks import millis, seconds
@@ -106,37 +107,25 @@ class RunConfig:
     def from_json_dict(cls, raw: dict) -> "RunConfig":
         """Inverse of :meth:`to_json_dict`.
 
-        Validates the knobs a config deserialised from external JSON
-        could smuggle in: an unknown key (top-level or inside
-        ``calibration``), a zero/negative measurement window, a negative
-        settle, or a core count below one.
+        Validates what a config deserialised from external JSON could
+        smuggle in, as a :class:`ConfigError` naming the field: an unknown
+        key (top-level or inside ``calibration``), a value of the wrong
+        type, a zero/negative window, a negative settle, or cpus below one.
         """
         raw = dict(raw)
-        cal = raw.pop("calibration", None)
+        unknown = check_fields(raw, cls, "config")
+        cal = raw.pop("calibration", None) or {}
         faults = raw.pop("faults", None)
-        try:
-            cfg = cls(
-                calibration=Calibration(**cal) if cal else None,
-                faults=FaultPlan.from_json_dict(faults) if faults else None,
-                **raw,
+        unknown += check_fields(cal, Calibration, "config", "calibration.")
+        if unknown:
+            raise ConfigError(
+                f"unknown config key(s) in JSON: {', '.join(unknown)}"
             )
-        except TypeError:
-            # cls(**raw) and Calibration(**cal) raise a bare TypeError on
-            # keys no field matches; name the offenders instead of leaking
-            # the constructor error.
-            unknown = sorted(
-                set(raw) - {f.name for f in cls.__dataclass_fields__.values()}
-            )
-            if isinstance(cal, dict):
-                unknown += sorted(
-                    f"calibration.{key}"
-                    for key in set(cal) - set(Calibration.__dataclass_fields__)
-                )
-            if unknown:
-                raise ConfigError(
-                    f"unknown config key(s) in JSON: {', '.join(unknown)}"
-                ) from None
-            raise
+        cfg = cls(
+            calibration=Calibration(**cal) if cal else None,
+            faults=FaultPlan.from_json_dict(faults) if faults else None,
+            **raw,
+        )
         if cfg.duration_ticks < 1:
             raise ConfigError(
                 f"duration_ticks must be >= 1, got {cfg.duration_ticks}"

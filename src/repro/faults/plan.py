@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.errors import ConfigError
+from repro.jsonform import check_fields
 
 
 @dataclass(frozen=True)
@@ -111,32 +112,29 @@ class FaultPlan:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "FaultPlan":
+        """Inverse of :meth:`to_json_dict`: an unknown key (nested entries
+        too), a missing entry field or a value of the wrong type is a
+        :class:`ConfigError` naming the field."""
         raw = dict(raw)
-        kills = tuple(
-            ThreadKill(**entry) for entry in raw.pop("thread_kills", ())
+        unknown = check_fields(raw, cls, "fault plan")
+        nested = {"thread_kills": ThreadKill, "throttles": ThrottleWindow}
+        entries = {name: raw.pop(name, ()) for name in nested}
+        for name, value in entries.items():
+            for i, entry in enumerate(value):
+                unknown += check_fields(
+                    entry, nested[name], "fault plan", f"{name}[{i}]."
+                )
+        if unknown:
+            raise ConfigError(
+                f"unknown fault plan key(s) in JSON: {', '.join(unknown)}"
+            )
+        return cls(
+            **raw,
+            **{
+                name: tuple(nested[name](**entry) for entry in value)
+                for name, value in entries.items()
+            },
         )
-        throttles = []
-        for entry in raw.pop("throttles", ()):
-            entry = dict(entry)
-            cpus = entry.pop("cpus", None)
-            throttles.append(
-                ThrottleWindow(cpus=None if cpus is None else tuple(cpus), **entry)
-            )
-        evict = tuple(raw.pop("evict_at_ms", ()))
-        try:
-            return cls(
-                thread_kills=kills,
-                evict_at_ms=evict,
-                throttles=tuple(throttles),
-                **raw,
-            )
-        except TypeError:
-            unknown = sorted(set(raw) - {f.name for f in cls.__dataclass_fields__.values()})
-            if unknown:
-                raise ConfigError(
-                    f"unknown fault plan key(s) in JSON: {', '.join(unknown)}"
-                ) from None
-            raise
 
 
 # ---------------------------------------------------------------------------

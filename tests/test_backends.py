@@ -784,6 +784,14 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice: 'serve'" in capsys.readouterr().err
 
+    def test_cache_gc_lru_flag_is_gone(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "gc", str(tmp_path), "--max-entries", "1", "--lru"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lru" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ("0", "-1"))
     @pytest.mark.parametrize("command", (
         ["suite", "--bench", "countdown.main"],

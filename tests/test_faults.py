@@ -116,6 +116,54 @@ class TestPlans:
         wire["blast_radius"] = 9000
         with pytest.raises(ConfigError, match="blast_radius"):
             FaultPlan.from_json_dict(wire)
+        # Keys inside a thread-kill or throttle entry are named with
+        # their entry, and listed with unknown top-level keys.
+        for entries in ("thread_kills", "throttles"):
+            wire = json.loads(json.dumps(fault_plan("chaos").to_json_dict()))
+            wire[entries][0]["bogus"] = 1
+            with pytest.raises(ConfigError, match=(
+                rf"unknown fault plan key\(s\) in JSON: {entries}\[0\]\.bogus$"
+            )):
+                FaultPlan.from_json_dict(wire)
+            wire["blast_radius"] = 9000
+            with pytest.raises(ConfigError, match=(
+                rf"blast_radius, {entries}\[0\]\.bogus$"
+            )):
+                FaultPlan.from_json_dict(wire)
+
+    @pytest.mark.parametrize("field, value, named", (
+        ("binder_fail_rate", "x", "binder_fail_rate"),
+        ("binder_fail_rate", True, "binder_fail_rate"),
+        ("name", 7, "name"),
+        ("evict_at_ms", [100, "200"], "evict_at_ms"),
+        ("thread_kills", {"at_ms": 1}, "thread_kills"),
+    ))
+    def test_mistyped_json_value_is_named_in_the_error(
+        self, field, value, named
+    ):
+        wire = json.loads(json.dumps(fault_plan("chaos").to_json_dict()))
+        wire[field] = value
+        with pytest.raises(ConfigError, match=rf"fault plan field {named} "):
+            FaultPlan.from_json_dict(wire)
+
+    @pytest.mark.parametrize("entries, field, value", (
+        ("thread_kills", "at_ms", "150"),
+        ("thread_kills", "proc", None),
+        ("throttles", "factor", 2.0),
+        ("throttles", "cpus", [0, "1"]),
+        ("thread_kills", "thread", ...),  # ... deletes the field
+        ("throttles", "duration_ms", ...),
+    ))
+    def test_bad_entry_field_is_named_in_the_error(self, entries, field, value):
+        wire = json.loads(json.dumps(fault_plan("chaos").to_json_dict()))
+        if value is ...:
+            del wire[entries][0][field]
+        else:
+            wire[entries][0][field] = value
+        with pytest.raises(
+            ConfigError, match=rf"fault plan field {entries}\[0\]\.{field} "
+        ):
+            FaultPlan.from_json_dict(wire)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """RunResult / SuiteResult serialisation and determinism."""
 
+import json
 import os
+import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.calibration import calibration_preset
 from repro.core import QUICK_CONFIG, RunConfig, SuiteRunner
 from repro.core.results import ResultCache, RunResult, SuiteResult
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigError
+from repro.faults import FaultPlan, fault_plan
 from repro.sim.ticks import millis
 
 
@@ -88,6 +94,87 @@ def test_run_config_from_json_names_unknown_keys():
         RunConfig.from_json_dict(raw)
     with pytest.raises(ConfigError, match="calibration.bogus"):
         RunConfig.from_json_dict({"calibration": {"bogus": 1}})
+
+
+_MISTYPED = (
+    ({"jit_enabled": "no"}, "jit_enabled"),
+    ({"cpus": 2.5}, "cpus"),
+    ({"seed": True}, "seed"),
+    ({"calibration": {"sf_insts_per_pixel": "x"}},
+     "calibration.sf_insts_per_pixel"),
+    ({"calibration": {"overlay_flip_insts": 2.5}},
+     "calibration.overlay_flip_insts"),
+    ({"duration_ticks": "abc"}, "duration_ticks"),
+    ({"cpus": "2"}, "cpus"),
+    ({"cpu_profile": 4}, "cpu_profile"),
+    ({"faults": {"binder_fail_rate": "x"}}, "binder_fail_rate"),
+)
+
+
+@pytest.mark.parametrize("raw, field", _MISTYPED,
+                         ids=[json.dumps(raw) for raw, _ in _MISTYPED])
+def test_run_config_from_json_names_a_mistyped_field(raw, field):
+    """A value of the wrong type used to decode (``"no"`` turned the JIT
+    on) or raise a bare ``TypeError``; it must be a ConfigError naming
+    the field."""
+    with pytest.raises(ConfigError, match=rf" field {re.escape(field)} must "):
+        RunConfig.from_json_dict(raw)
+
+
+def _positions(node, path=()):
+    """The path of every value nested in a JSON form."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+def _replaced(form, path, value):
+    """A copy of the JSON form *form* with the value at *path* replaced."""
+    form = json.loads(json.dumps(form))
+    node = form
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return form
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.text(max_size=6))
+# Half scalars: ``st.recursive`` alone draws mostly lists and objects,
+# which nearly every field rejects before its decoder's value checks.
+_JSON_VALUES = _JSON_SCALARS | st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("decoder, valid", (
+    (RunConfig, RunConfig(calibration=calibration_preset("lowend"), cpus=4,
+                          cpu_profile="2+2", faults=fault_plan("chaos"))),
+    (FaultPlan, fault_plan("chaos")),
+), ids=("RunConfig", "FaultPlan"))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_decoder_rejects_or_round_trips_any_one_field(decoder, valid, data):
+    """Replace one value anywhere in a valid JSON form with any JSON
+    value: the decoder raises ConfigError or returns an object whose JSON
+    form decodes back to an equal object, never a TypeError, KeyError or
+    ValueError."""
+    form = json.loads(json.dumps(valid.to_json_dict()))
+    path = data.draw(st.sampled_from(list(_positions(form))))
+    broken = _replaced(form, path, data.draw(_JSON_VALUES))
+    try:
+        decoded = decoder.from_json_dict(broken)
+    except ConfigError:
+        return
+    assert decoder.from_json_dict(
+        json.loads(json.dumps(decoded.to_json_dict()))
+    ) == decoded
 
 
 def test_quick_config_sane():

@@ -133,6 +133,17 @@ def test_alphabeta_matches_minimax_small():
             assert ab == sjeng.minimax_reference(piles, depth)
 
 
+def test_alphabeta_matches_minimax_at_the_calibration_position():
+    """Calibration runs only alpha-beta, and it reads no seed, so
+    ``CAL_POSITION`` at ``CAL_DEPTH`` is the one search every run's
+    sjeng profile comes from: check it against exhaustive minimax here."""
+    position = sjeng.SjengModel.CAL_POSITION
+    depth = sjeng.SjengModel.CAL_DEPTH
+    stats = sjeng.SearchStats()
+    score = sjeng.negamax(position, depth, -(10**9), 10**9, stats)
+    assert score == sjeng.minimax_reference(position, depth) == 1
+
+
 def test_alphabeta_prunes():
     stats = sjeng.SearchStats()
     sjeng.negamax((5, 6, 4, 5), 5, -(10**9), 10**9, stats)
@@ -251,15 +262,15 @@ def test_calibrations_produce_profiles():
     "Bzip2Model", "HmmerModel", "LibquantumModel", "McfModel", "SpecrandModel",
 ))
 def test_memoised_profile_equals_direct_calibration(model_name, monkeypatch):
-    """A second model with the same seed is served from the calibration
-    memo, and what it gets equals a fresh, unmemoised ``calibrate()``."""
+    """A model calibrates once, on its first ``profile`` read, and two
+    models with the same seed calibrate to equal profiles."""
     import repro.apps.spec as spec_models
-    from repro.apps.spec.base import SpecModel
 
     model_cls = getattr(spec_models, model_name)
-    monkeypatch.setattr(SpecModel, "_profiles", {})
-    first = model_cls(seed=11).profile
-    assert (model_cls, 11) in SpecModel._profiles
-    second = model_cls(seed=11).profile
-    assert second is first
-    assert second == model_cls(seed=11).calibrate()
+    model = model_cls(seed=11)
+    first = model.profile
+    assert first == model_cls(seed=11).profile
+    calls = []
+    monkeypatch.setattr(model_cls, "calibrate", lambda self: calls.append(self))
+    assert model.profile is first
+    assert calls == []
