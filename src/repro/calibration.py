@@ -11,9 +11,10 @@ these per-unit costs and the workload structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
-from repro.errors import ConfigError
+from repro.errors import CalibrationError, ConfigError
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,24 @@ class Calibration:
 
     # Idle / housekeeping ------------------------------------------------
     #: Kernel idle-loop intensity already lives in repro.sim.engine.
+
+    def __post_init__(self) -> None:
+        """Every cost is a finite number >= 0 (zero is legal: it switches
+        the cost off) and the survivor ratio is at most 1.  A negative
+        cost would subtract work and an infinite one would overflow
+        mid-run, so both fail here, naming the field."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value) or value < 0:
+                raise CalibrationError(
+                    f"calibration field {f.name} must be a finite number "
+                    f">= 0, got {value!r}"
+                )
+        if self.gc_survivor_ratio > 1:
+            raise CalibrationError(
+                f"calibration field gc_survivor_ratio must be <= 1, "
+                f"got {self.gc_survivor_ratio!r}"
+            )
 
     def scaled(self, factor: float) -> "Calibration":
         """A copy with all graphics/media costs scaled by *factor*."""

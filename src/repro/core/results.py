@@ -533,8 +533,12 @@ class ResultCache:
         path = self._path(bench_id, cfg)
         tmp = _tmp_path(path)
         try:
+            # json.dumps (the C encoder) writes the bytes json.dump(x, fh)
+            # (the pure-Python one) would, about twice as fast.  It builds
+            # the whole text first: cheap for one result, but the savers
+            # of whole suites, sweeps and fleets keep json.dump for that.
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(result.to_json_dict(), fh)
+                fh.write(json.dumps(result.to_json_dict()))
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
@@ -712,7 +716,7 @@ class ResultCache:
         path = os.path.join(self.root, self.STATS_FILE)
         tmp = _tmp_path(path)
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
         os.replace(tmp, path)
         self._flushed_hits = self.hits
         self._flushed_misses = self.misses

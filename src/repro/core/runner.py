@@ -74,6 +74,20 @@ class RunConfig:
     #: JSON form, so healthy configs keep their pre-fault cache keys.
     faults: FaultPlan | None = None
 
+    def __post_init__(self) -> None:
+        """A throttle must target CPUs the machine has: one that names
+        none of them would run as a silent no-op."""
+        if self.faults is None:
+            return
+        for i, window in enumerate(self.faults.throttles):
+            for index in window.cpus or ():
+                if index >= self.cpus:
+                    raise ConfigError(
+                        f"fault plan {self.faults.name!r} field "
+                        f"throttles[{i}].cpus names CPU {index}, but "
+                        f"cpus={self.cpus}"
+                    )
+
     def scaled(self, factor: float) -> "RunConfig":
         """A config with the window scaled by *factor*.
 

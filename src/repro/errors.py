@@ -60,5 +60,5 @@ class AnalysisError(ReproError):
     """Post-processing of run results failed."""
 
 
-class CalibrationError(ReproError):
+class CalibrationError(ConfigError):
     """A calibration constant is out of its legal domain."""

@@ -69,6 +69,15 @@ class ThrottleWindow:
             raise ConfigError(f"throttle factor must be an int >= 2, got {self.factor}")
         if self.cpus is not None:
             object.__setattr__(self, "cpus", tuple(self.cpus))
+            if not self.cpus:
+                raise ConfigError(
+                    "throttle cpus must name at least one CPU "
+                    "(null throttles every CPU)"
+                )
+            if min(self.cpus) < 0:
+                raise ConfigError(
+                    f"throttle cpus must be CPU indices >= 0, got {self.cpus}"
+                )
 
 
 @dataclass(frozen=True)

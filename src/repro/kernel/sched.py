@@ -132,6 +132,12 @@ class Scheduler:
         """Queued (waiting) tasks on one CPU's runqueue."""
         return len(self._runqs[cpu_id])
 
+    def queued(self) -> bool:
+        """Whether any runqueue holds an entry, live or dead.  When none
+        does, :meth:`pick` returns None on every CPU and changes nothing,
+        so the engine parks without calling it."""
+        return any(self._runqs)
+
     # ------------------------------------------------------------------
     # Placement
 
@@ -356,6 +362,14 @@ class CfsScheduler(Scheduler):
 
     def runq_len(self, cpu_id: int) -> int:
         return len(self._runqs[cpu_id].entries)
+
+    def queued(self) -> bool:
+        # The entry lists, not the queues: a queue's truth would call the
+        # Python-level _CfsQueue.__len__ on every idle pass.
+        for q in self._runqs:
+            if q.entries:
+                return True
+        return False
 
     def min_vruntime(self, cpu_id: int) -> int:
         """The queue's virtual clock (monotonic; invariant-test hook)."""

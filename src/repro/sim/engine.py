@@ -21,6 +21,15 @@ on — a run is a pure function of ``(bench_id, RunConfig)``):
   quanta and never preempts (byte-identical to the pre-CFS engine),
   while a ``cpu_profile`` machine's :class:`~repro.kernel.sched.CfsScheduler`
   grants slice remainders and preempts on vruntime lead.
+* With ``cpus > 1``, a CPU selected idle skips the pick when no
+  runqueue holds an entry, live or dead: under either policy that pick
+  would return None and change nothing.  It parks instead, together
+  with every other CPU due now with no task, in CPU-id order, all to
+  one target.  The loop's next passes would park those CPUs one at a
+  time, in that order and to that target: no CPU with a task is due now
+  (the tie-break would have selected it), parking binds no task and
+  enqueues nothing, and no timer or fault can come due before the clock
+  moves.
 * With ``cpus=1`` the loop replays the original single-CPU engine
   op-for-op, so single-core results stay byte-identical.
 
@@ -38,6 +47,8 @@ from repro.kernel.task import TaskState
 from repro.sim.ops import Block, ExecBlock, Sleep, SleepUntil, Yield
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from repro.kernel.task import Task
     from repro.sim.cpu import AtomicCPU
     from repro.sim.system import System
@@ -88,33 +99,27 @@ class Engine:
 
     # ------------------------------------------------------------------
 
-    def run_until(self, deadline: int, max_ops: int | None = None) -> None:
-        """Advance simulated time to *deadline* (absolute tick).
-
-        *max_ops* bounds dispatched ops; the budget is only checked when
-        a CPU is about to pick a new task, so a running task always
-        finishes its scheduling segment (quantum/block/yield), exactly
-        as the single-CPU engine behaved.
-        """
+    def run_until(self, deadline: int) -> None:
+        """Advance simulated time to *deadline* (absolute tick)."""
         clock = self.clock
         timers = self.timers
         timer_heap = timers._heap  # hot-loop: probe before paying fire_due
         sched = self.sched
         account = sched.account
         timeslice = sched.timeslice
+        queued = sched.queued
         # The preemption poll only exists under the CFS policy; binding
         # None keeps the round-robin hot loop at a single comparison.
         preempt = sched.should_preempt if sched.preemptive else None
         kernel = self.system.kernel
         slots = self._slots
+        others = slots[1:]
         smp = len(slots) > 1
+        idle = False
         # Fault injection: an armed injector exposes the tick of its
         # earliest pending event; no plan means one None comparison.
         injector = self.system.faults
         fault_due = injector.next_due if injector is not None else None
-        # Budget stays integer-only in the hot loop: None means unbounded
-        # (the old float("inf") mixed float comparisons into every pass).
-        budget = max_ops
 
         now = clock.now
         if now >= deadline:
@@ -127,16 +132,21 @@ class Engine:
 
         while True:
             # Select the next acting CPU: earliest next_at; ties prefer a
-            # CPU mid-dispatch over one about to pick (False sorts first),
-            # then lowest id via scan order.
+            # CPU mid-dispatch over one about to pick, then lowest id via
+            # scan order.
             best = slots[0]
-            if smp:
-                best_key = (best.next_at, best.task is None)
-                for slot in slots:
-                    key = (slot.next_at, slot.task is None)
-                    if key < best_key:
-                        best, best_key = slot, key
             t = best.next_at
+            if smp:
+                for slot in others:
+                    at = slot.next_at
+                    if at < t or (
+                        at == t and best.task is None and slot.task is not None
+                    ):
+                        best, t = slot, at
+                # Selected idle means no CPU with a task is due at t.  A
+                # CPU selected busy may still lose its task to a fault
+                # below; it then parks alone.
+                idle = best.task is None
             if t >= deadline:
                 break
             if t > now:
@@ -158,11 +168,16 @@ class Engine:
                 sched.requeue(task, best.index)
                 best.task = task = None
             if task is None:
-                if budget is not None and budget <= 0:
-                    break
+                if idle and not queued():
+                    # Every pick would fail: park all idle CPUs due now.
+                    self._park(
+                        [s for s in slots if s.task is None and s.next_at == now],
+                        now, deadline,
+                    )
+                    continue
                 task = sched.pick(best.index)
                 if task is None:
-                    self._park(best, now, deadline)
+                    self._park((best,), now, deadline)
                     continue
                 best.task = task
                 best.quantum_end = now + timeslice(task)
@@ -183,8 +198,6 @@ class Engine:
                 best.next_at = now
                 continue
             self.ops_dispatched += 1
-            if budget is not None:
-                budget -= 1
 
             kind = type(op)
             if kind is ExecBlock:
@@ -218,22 +231,15 @@ class Engine:
             else:
                 raise SchedulerError(f"unknown op {op!r} from {task!r}")
 
-        # Wind down: blocks already charged run to completion, so the
-        # clock lands on the latest in-flight block end (or the deadline
-        # when the machine idled there); due timers fire; still-running
-        # tasks unbind back to their runqueues in CPU-id order.  On a
-        # budget stop only in-flight blocks move the clock — idle CPUs
-        # may have accrued their final parked span past it, a smear only
-        # reachable with cpus > 1 and an ops budget.
-        end = clock.now
-        deadline_reached = True
+        # Wind down: every CPU's next action is at or past the deadline.
+        # Blocks already charged run to completion, so the clock lands on
+        # the latest in-flight block end (or the deadline when the
+        # machine idled there); due timers fire; still-running tasks
+        # unbind back to their runqueues in CPU-id order.
+        end = deadline
         for slot in slots:
             if slot.task is not None and slot.next_at > end:
                 end = slot.next_at
-            if slot.next_at < deadline:
-                deadline_reached = False
-        if deadline_reached and deadline > end:
-            end = deadline
         clock.advance_to(end)
         timers.fire_due(clock.now)
         for slot in slots:
@@ -241,9 +247,9 @@ class Engine:
                 sched.requeue(slot.task, slot.index)
                 slot.task = None
 
-    def run_for(self, duration: int, max_ops: int | None = None) -> None:
+    def run_for(self, duration: int) -> None:
         """Advance simulated time by *duration* ticks."""
-        self.run_until(self.clock.now + duration, max_ops)
+        self.run_until(self.clock.now + duration)
 
     # ------------------------------------------------------------------
 
@@ -251,13 +257,15 @@ class Engine:
         task.state = TaskState.SLEEPING
         self.timers.add(deadline, task)
 
-    def _park(self, slot: _CpuSlot, now: int, deadline: int) -> None:
-        """Nothing runnable for this CPU: idle until the next event that
-        could hand it work — a timer firing, or any busy CPU's next
-        action (ops are where wakeups, spawns and queue placement
-        happen).  The target is strictly in the future (timers due now
-        already fired; zero-length blocks keep their CPU ahead in the
-        tie-break), so a parked CPU always makes progress."""
+    def _park(
+        self, parked: "Iterable[_CpuSlot]", now: int, deadline: int
+    ) -> None:
+        """Idle each CPU of *parked*, in order, until the next event that
+        could hand it work: a timer firing, or any busy CPU's next action
+        (ops are where wakeups, spawns and queue placement happen),
+        capped at *deadline*.  The target is strictly in the future
+        (timers due now already fired; zero-length blocks keep their CPU
+        ahead in the tie-break), so a parked CPU always makes progress."""
         target = deadline
         next_timer = self.timers.next_deadline()
         if next_timer is not None and now < next_timer < target:
@@ -266,19 +274,18 @@ class Engine:
             if other.task is not None and now < other.next_at < target:
                 target = other.next_at
         span = target - now
-        if span > 0:
-            idle = self.system.kernel.idle_task
-            insts = int(span * IDLE_INSTS_PER_TICK)
+        insts = int(span * IDLE_INSTS_PER_TICK)
+        idle = self.system.kernel.idle_task
+        for slot in parked:
             # A slow (LITTLE) core retires proportionally fewer idle
             # instructions in the same span; the symmetric default
             # divides by 1 and stays bit-exact.
             tpi = slot.cpu.ticks_per_inst
-            if tpi > 1:
-                insts //= tpi
-            if idle is not None and insts > 0:
+            charged = insts // tpi if tpi > 1 else insts
+            if idle is not None and charged > 0:
                 self.profiler.charge_idle(
-                    idle.process.comm, idle.name, insts, slot.index
+                    idle.process.comm, idle.name, charged, slot.index
                 )
             self.idle_ticks += span
             self.cpu_idle_ticks[slot.index] += span
-        slot.next_at = target
+            slot.next_at = target

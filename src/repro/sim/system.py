@@ -118,13 +118,13 @@ class System:
         """Current simulated time in ticks."""
         return self.clock.now
 
-    def run_for(self, duration: int, max_ops: int | None = None) -> None:
+    def run_for(self, duration: int) -> None:
         """Advance the simulation by *duration* ticks."""
-        self.engine.run_for(duration, max_ops)
+        self.engine.run_for(duration)
 
-    def run_until(self, deadline: int, max_ops: int | None = None) -> None:
+    def run_until(self, deadline: int) -> None:
         """Advance the simulation to the absolute tick *deadline*."""
-        self.engine.run_until(deadline, max_ops)
+        self.engine.run_until(deadline)
 
     def __repr__(self) -> str:
         return (

@@ -30,6 +30,32 @@ def test_calibration_is_frozen():
         Calibration().sf_insts_per_pixel = 1.0
 
 
+def test_calibration_domain_is_checked_however_it_is_built():
+    """Not only decoded JSON: a direct or scaled construction out of the
+    domain raises a CalibrationError, which is a ConfigError, naming the
+    field.  A survivor ratio of exactly 1 is legal."""
+    from repro.errors import CalibrationError, ConfigError
+
+    assert issubclass(CalibrationError, ConfigError)
+    with pytest.raises(CalibrationError, match="field mix_insts_per_frame must"):
+        Calibration(mix_insts_per_frame=float("-inf"))
+    with pytest.raises(CalibrationError, match="field sf_insts_per_pixel must"):
+        Calibration().scaled(-1.0)
+    assert Calibration(gc_survivor_ratio=1.0).gc_survivor_ratio == 1.0
+
+
+@pytest.mark.parametrize("field", ["gc_trigger_bytes", "jit_cache_flush_bytes",
+                                   "jit_hot_threshold"])
+def test_zero_costs_stay_legal_and_run(field):
+    """Zero switches a knob off; it is in the domain and a run completes."""
+    from repro.core import RunConfig, execute_one
+    from repro.sim.ticks import millis
+
+    cfg = RunConfig(duration_ticks=millis(300), settle_ticks=millis(100),
+                    calibration=Calibration(**{field: 0}))
+    assert execute_one("music.mp3.view", cfg).total_refs > 0
+
+
 def test_jit_ablation_changes_profile():
     """Running with the JIT off must remove jit-code-cache references."""
     from repro.core import RunConfig, SuiteRunner

@@ -189,3 +189,67 @@ def test_kernel_exec_attributed_to_kernel_region(cold_system):
     sys_.run_for(millis(1))
     assert sys_.profiler.instr_by_region.get("OS kernel", 0) >= 5_000
     assert sys_.profiler.data_by_region.get("OS kernel", 0) >= 100
+
+
+def test_smp_idle_cpus_never_pick_from_empty_runqueues():
+    """On a booted 2+2 Android stack, no CPU calls ``pick`` while no
+    runqueue holds an entry: such a pick fails on every CPU and changes
+    nothing, so the engine parks instead."""
+    from repro.core.runner import RunConfig, _prepared_system
+    from repro.core.suite import get_benchmark
+
+    cfg = RunConfig(cpus=4, cpu_profile="2+2")
+    system, _, _ = _prepared_system(get_benchmark("music.mp3.view"), cfg)
+    sched = system.kernel.sched
+    pick = sched.pick
+    calls = {"all": 0, "empty": 0}
+
+    def watched_pick(cpu_id=0):
+        calls["all"] += 1
+        calls["empty"] += len(sched) == 0
+        return pick(cpu_id)
+
+    sched.pick = watched_pick
+    idle_before = system.engine.idle_ticks
+    system.run_for(millis(300))
+    assert calls["empty"] == 0
+    assert calls["all"] > 0 and system.engine.idle_ticks > idle_before
+
+
+def test_cpu_that_loses_its_task_to_a_fault_parks_alone():
+    """CPUs 0 and 1 finish a block at the same tick while CPU 2 idles
+    until then; a fault kills CPU 0's task at that tick.  CPU 0 parks,
+    but CPU 1, still busy, acts before the idle CPU 2 (the tie-break),
+    and CPU 2 then picks the thread CPU 1 spawned, at that same tick."""
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan, ThreadKill
+
+    system = System(seed=1, cpus=3)
+    kernel = system.kernel
+    host = kernel.spawn_process("host", behavior=None)
+    block = millis(1)
+    started = []
+
+    def spin(task):
+        while True:
+            yield ExecBlock(0xC010_0000, block)
+
+    def spawn_then_spin(task):
+        yield ExecBlock(0xC010_0000, block)
+        kernel.spawn_thread(host, "late", record_start)
+        yield from spin(task)
+
+    def record_start(task):
+        started.append((system.clock.now, task.last_cpu))
+        yield ExecBlock(0xC010_0000, block)
+
+    kernel.spawn_thread(host, "victim", spin, affinity=0)
+    kernel.spawn_thread(host, "spawner", spawn_then_spin, affinity=1)
+    plan = FaultPlan(name="kill-victim", thread_kills=(
+        ThreadKill(at_ms=1, proc="host", thread="victim"),))
+    injector = FaultInjector(plan, 1, system)
+    injector.arm(system.clock.now)
+    system.run_for(millis(5))
+    injector.disarm()
+    assert injector.counters()["threads_killed"] == 1
+    assert started == [(block, 2)]

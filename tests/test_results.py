@@ -121,6 +121,47 @@ def test_run_config_from_json_names_a_mistyped_field(raw, field):
         RunConfig.from_json_dict(raw)
 
 
+def _chaos_throttling(cpus):
+    """The chaos plan's JSON form with its throttle on *cpus*."""
+    form = fault_plan("chaos").to_json_dict()
+    form["throttles"][0]["cpus"] = cpus
+    return form
+
+
+_OUT_OF_DOMAIN = (
+    ("negative-cost", {"calibration": {"sf_insts_per_pixel": -5.0}},
+     "calibration field sf_insts_per_pixel must be a finite number >= 0"),
+    ("negative-int-cost", {"calibration": {"mp3_insts_per_frame": -1}},
+     "calibration field mp3_insts_per_frame must be a finite number >= 0"),
+    ("infinite-cost", {"calibration": {"interp_insts_per_bytecode": float("inf")}},
+     "calibration field interp_insts_per_bytecode must be a finite number"),
+    ("nan-cost", {"calibration": {"gc_insts_per_kb": float("nan")}},
+     "calibration field gc_insts_per_kb must be a finite number"),
+    ("survivors-over-1", {"calibration": {"gc_survivor_ratio": 1.5}},
+     "calibration field gc_survivor_ratio must be <= 1"),
+    ("throttle-cpu-99", {"faults": _chaos_throttling([99])},
+     "fault plan 'chaos' field throttles[0].cpus names CPU 99, but cpus=1"),
+    ("throttle-cpu-4-of-4", {"cpus": 4, "cpu_profile": "2+2",
+                             "faults": _chaos_throttling([0, 4])},
+     "fault plan 'chaos' field throttles[0].cpus names CPU 4, but cpus=4"),
+    ("throttle-cpu-negative", {"faults": _chaos_throttling([-1])},
+     "throttle cpus must be CPU indices >= 0"),
+    ("throttle-no-cpus", {"faults": _chaos_throttling([])},
+     "throttle cpus must name at least one CPU"),
+)
+
+
+@pytest.mark.parametrize("raw, message", [case[1:] for case in _OUT_OF_DOMAIN],
+                         ids=[case[0] for case in _OUT_OF_DOMAIN])
+def test_run_config_from_json_names_an_out_of_domain_field(raw, message):
+    """A well-typed value outside its domain used to decode: a negative
+    cost silently subtracted work, an infinite one overflowed mid-run,
+    and a throttle on a CPU the machine lacks changed nothing.  Each must
+    be a ConfigError naming the field."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig.from_json_dict(raw)
+
+
 def _positions(node, path=()):
     """The path of every value nested in a JSON form."""
     children = (node.items() if isinstance(node, dict)

@@ -12,7 +12,11 @@ core count byte-deterministic are asserted directly:
   placement, stealing and balancing alike;
 * **quantum conservation** — the CPU time the scheduler accounts equals
   the engine's busy ticks, per CPU, so no tick is double-charged or
-  dropped across preemptions and migrations.
+  dropped across preemptions and migrations;
+* **time conservation** — each CPU's busy plus idle ticks equal the
+  elapsed time, however the engine batches idle CPUs;
+* **futile picks** — while no runqueue holds an entry, a pick on any
+  CPU fails and changes nothing, so the engine may skip it.
 """
 
 import random
@@ -52,27 +56,64 @@ def _make_tasks(sched, rng, count, cpus):
     return tasks
 
 
-@pytest.mark.parametrize("seed", [1, 7, 1234])
-def test_random_ops_hold_cfs_invariants(seed):
-    """2000 random pick/account/requeue/balance steps on an asymmetric
-    3-CPU machine: vruntime clocks stay monotonic, pinned tasks only
-    ever dispatch on their pin, and nobody starves."""
+def _sched_state(sched, cpus):
+    """Everything a pick could change: counters, queue contents and, under
+    CFS, each queue's load and virtual clock."""
+    state = [sched.context_switches, sched.migrations, sched.snapshot()]
+    if isinstance(sched, CfsScheduler):
+        state += [(sched.queue_load(c), sched.min_vruntime(c))
+                  for c in range(cpus)]
+    return state
+
+
+def _drive_random_ops(sched, seed, cpus=3):
+    """2000 random pick/account/requeue/block/wake/kill/balance steps.
+
+    At every step: ``queued()`` agrees with ``len(sched) > 0``; while no
+    runqueue holds an entry, a pick on every CPU fails and changes
+    nothing (the engine skips those picks); pinned tasks only ever
+    dispatch on their pin; under CFS, queue virtual clocks never run
+    backwards.  At the end nobody starved, and the run both emptied
+    every queue and left dead entries behind."""
     rng = random.Random(seed)
-    cpus = 3
-    sched = CfsScheduler(cpus=cpus, capacities=(1024, 1024, 512))
+    cfs = isinstance(sched, CfsScheduler)
     tasks = _make_tasks(sched, rng, count=10, cpus=cpus)
     running: dict[int, Task] = {}
+    blocked: list[Task] = []
     picked: Counter = Counter()
-    prev_min = [sched.min_vruntime(c) for c in range(cpus)]
+    empty_steps = dead_entries = 0
+    prev_min = [sched.min_vruntime(c) for c in range(cpus)] if cfs else []
 
     for _ in range(2000):
         cpu = rng.randrange(cpus)
         task = running.pop(cpu, None)
         if task is not None:
             sched.account(task, cpu, rng.randrange(1_000, 2_000_000))
-            sched.requeue(task, cpu)
+            if rng.random() < 0.3:
+                task.state = TaskState.BLOCKED
+                blocked.append(task)
+            else:
+                sched.requeue(task, cpu)
+        if blocked and rng.random() < 0.3:
+            woken = blocked.pop(rng.randrange(len(blocked)))
+            woken.state = TaskState.RUNNABLE
+            sched.enqueue(woken)
+        if dead_entries < 3 and rng.random() < 0.01:
+            # A queued task that already ran dies without leaving its
+            # queue: a dead entry that only a pick (or pull) prunes.
+            waiting = [t for t in sched.snapshot()
+                       if t.state is TaskState.RUNNABLE and picked[t.tid]]
+            if waiting:
+                rng.choice(waiting).state = TaskState.ZOMBIE
+                dead_entries += 1
         if rng.random() < 0.1:
             sched.balance()
+        assert sched.queued() == (len(sched) > 0)
+        if not sched.queued():
+            empty_steps += 1
+            before = _sched_state(sched, cpus)
+            assert [sched.pick(c) for c in range(cpus)] == [None] * cpus
+            assert _sched_state(sched, cpus) == before
         got = sched.pick(cpu)
         if got is not None:
             assert got.state is TaskState.RUNNING
@@ -81,12 +122,25 @@ def test_random_ops_hold_cfs_invariants(seed):
                 assert cpu == got.affinity, "pinned task migrated"
             running[cpu] = got
             picked[got.tid] += 1
-        for c in range(cpus):
+        for c in range(len(prev_min)):
             now_min = sched.min_vruntime(c)
             assert now_min >= prev_min[c], "queue virtual clock ran backwards"
             prev_min[c] = now_min
 
     assert all(picked[task.tid] > 0 for task in tasks), "a task starved"
+    assert empty_steps > 0 and dead_entries > 0
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1234])
+def test_random_ops_hold_cfs_invariants(seed):
+    """The random steps on an asymmetric 3-CPU CFS machine."""
+    _drive_random_ops(CfsScheduler(cpus=3, capacities=(1024, 1024, 512)), seed)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1234])
+def test_random_ops_hold_rr_invariants(seed):
+    """The same random steps on a 3-CPU round-robin machine."""
+    _drive_random_ops(Scheduler(cpus=3), seed)
 
 
 def test_weight_table_matches_linux_shape():
@@ -299,6 +353,12 @@ def test_engine_mix_holds_global_invariants(profile, cpus, seed):
     assert sum(sched.quantum_ticks_by_cpu) == sum(
         cpu.busy_ticks for cpu in system.cpus
     )
+    # Time conservation, per CPU: busy plus idle covers every tick of
+    # the run, so no idle span is dropped or charged twice (the mix
+    # finishes before the deadline, so no block runs past it).
+    for cpu in system.cpus:
+        idle = system.engine.cpu_idle_ticks[cpu.cpu_id]
+        assert cpu.busy_ticks + idle == system.clock.now, cpu.cpu_id
 
 
 def test_engine_mix_is_deterministic_under_cfs():

@@ -130,6 +130,58 @@ def test_symmetric_cpus4_cache_key_matches_pre_cfs_engine():
     )
 
 
+#: ``(sorted digest, saved-bytes digest)`` per machine and benchmark,
+#: recorded before the engine's idle path parked every due idle CPU in
+#: one pass.  The second digest hashes ``json.dumps`` without
+#: ``sort_keys``: the bytes ``SuiteResult.save`` writes.  It is the only
+#: one that sees the first-charge order of ``instr_by_cpu`` and
+#: ``refs_by_thread``, which moves if idle CPUs are charged out of turn.
+_IDLE_PATH_GOLDEN = {
+    "2+2 chaos": {
+        "countdown.main": (
+            "290c3c1c1a047a340502d055008201b10874862eb1d9c38490dfeb4a11dd123f",
+            "7bc02bbf163004c8bd12e73aaea3e4177037432edaccf3ff59873f6012964cf4",
+        ),
+        "music.mp3.view": (
+            "31a346d34fbbf0a798b3f1e05278f9c16d50307866838ad4fdc449da8581adcc",
+            "7d7230d50cb6ad931287882425e6db1be0c8f087600b2521ad1e1840fe87449e",
+        ),
+    },
+    "cpus=3": {
+        "countdown.main": (
+            "b6824427f5515e1ece4c5da7184ec305b54e42bf7f3fcb1b283944773ac2ec14",
+            "6a7fbcbdadccc665146de1a1b222d98984ce133fb102fe723584b28fc9251f2f",
+        ),
+        "music.mp3.view": (
+            "104f27580cd96849000f88175ece8d792e5d65e0ad9d0135f44c840a6ff614a5",
+            "b637e1a7b2964e1a8d4f96e4bf2d4a5bbc674b74ef9de80d0c489f0dc418af6a",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("machine", sorted(_IDLE_PATH_GOLDEN))
+def test_smp_idle_path_results_match_golden(machine):
+    """Byte-identity of SMP runs, CFS big.LITTLE under faults and
+    symmetric round-robin, down to the dict order of the saved JSON.
+    Never skipped: a change that moves these results must re-record
+    them with an explanation."""
+    from repro.faults.plan import fault_plan
+
+    base = dict(duration_ticks=seconds(1), settle_ticks=millis(200),
+                seed=4242)
+    cfg = {
+        "2+2 chaos": RunConfig(**base, cpus=4, cpu_profile="2+2",
+                               faults=fault_plan("chaos")),
+        "cpus=3": RunConfig(**base, cpus=3),
+    }[machine]
+    for bench_id, (want_sorted, want_saved) in _IDLE_PATH_GOLDEN[machine].items():
+        run = execute_one(bench_id, cfg)
+        saved = json.dumps(run.to_json_dict()).encode("utf-8")
+        assert _result_sha(run) == want_sorted, bench_id
+        assert hashlib.sha256(saved).hexdigest() == want_saved, bench_id
+
+
 def test_cpu_profile_default_omitted_from_config_json():
     """cpu_profile=None must serialise to the pre-big.LITTLE JSON (same
     cache keys), at every core count."""
