@@ -63,6 +63,23 @@ def load_json_file(path: str, what: str, decode: "Callable[[dict], _T]") -> _T:
         raise ConfigError(f"{path} is not a saved {what}: {exc}") from None
 
 
+def dump_streamed(fh, head: str, items: "Iterable[str]", tail: str) -> None:
+    """Write *head*, the JSON texts *items* joined by ``", "``, then *tail*.
+
+    With each item a ``json.dumps`` text (the C encoder) and *head* and
+    *tail* the container's framing, this writes the bytes ``json.dump``
+    (the pure-Python encoder) writes for the whole container, holding one
+    item's text at a time instead of the whole document.
+    """
+    fh.write(head)
+    sep = ""
+    for item in items:
+        fh.write(sep)
+        fh.write(item)
+        sep = ", "
+    fh.write(tail)
+
+
 def _encode_pairs(d: dict[tuple[str, str], int]) -> dict[str, int]:
     return {f"{a}\x00{b}": v for (a, b), v in d.items()}
 
@@ -147,13 +164,13 @@ class RunResult:
             benchmark_comm=benchmark_comm,
             duration_ticks=duration_ticks,
             seed=seed,
-            instr_by_region=dict(profiler.instr_by_region),
-            data_by_region=dict(profiler.data_by_region),
-            instr_by_proc=dict(profiler.instr_by_proc),
-            data_by_proc=dict(profiler.data_by_proc),
-            refs_by_thread=dict(profiler.refs_by_thread),
-            instr_by_proc_region=dict(profiler.instr_by_proc_region),
-            data_by_proc_region=dict(profiler.data_by_proc_region),
+            instr_by_region=profiler.instr_by_region,
+            data_by_region=profiler.data_by_region,
+            instr_by_proc=profiler.instr_by_proc,
+            data_by_proc=profiler.data_by_proc,
+            refs_by_thread=profiler.refs_by_thread,
+            instr_by_proc_region=profiler.instr_by_proc_region,
+            data_by_proc_region=profiler.data_by_proc_region,
             live_processes=live_processes,
             threads_spawned_total=threads_spawned_total,
             meta=dict(meta or {}),
@@ -393,10 +410,13 @@ class SuiteResult:
     # ------------------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write all runs to a JSON file."""
-        payload = {bid: run.to_json_dict() for bid, run in self.runs.items()}
+        """Write all runs to a JSON file, a ``{bench_id: run}`` object,
+        encoding one run at a time."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            dump_streamed(fh, "{", (
+                f"{json.dumps(bid)}: {json.dumps(run.to_json_dict())}"
+                for bid, run in self.runs.items()
+            ), "}")
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "SuiteResult":
@@ -535,8 +555,8 @@ class ResultCache:
         try:
             # json.dumps (the C encoder) writes the bytes json.dump(x, fh)
             # (the pure-Python one) would, about twice as fast.  It builds
-            # the whole text first: cheap for one result, but the savers
-            # of whole suites, sweeps and fleets keep json.dump for that.
+            # the whole text first: cheap for one result; the savers of
+            # whole suites and sweeps stream it one run at a time.
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(result.to_json_dict()))
         except BaseException:

@@ -75,8 +75,29 @@ class RunConfig:
     faults: FaultPlan | None = None
 
     def __post_init__(self) -> None:
-        """A throttle must target CPUs the machine has: one that names
-        none of them would run as a silent no-op."""
+        """Reject, as a :class:`ConfigError` naming the field, a config
+        that would run as a silent wrong answer or die mid-simulation: a
+        zero/negative window, a negative settle, cpus below one, a
+        ``cpu_profile`` that does not parse or describes another core
+        count, or a throttle naming a CPU the machine lacks (it would
+        run as a silent no-op)."""
+        if self.duration_ticks < 1:
+            raise ConfigError(
+                f"duration_ticks must be >= 1, got {self.duration_ticks}"
+            )
+        if self.settle_ticks < 0:
+            raise ConfigError(
+                f"settle_ticks must be >= 0, got {self.settle_ticks}"
+            )
+        if self.cpus < 1:
+            raise ConfigError(f"cpus must be >= 1, got {self.cpus}")
+        if self.cpu_profile is not None:
+            count = profile_cpu_count(self.cpu_profile)  # parse-validates
+            if count != self.cpus:
+                raise ConfigError(
+                    f"cpu_profile {self.cpu_profile!r} describes {count} "
+                    f"cores but cpus={self.cpus}"
+                )
         if self.faults is None:
             return
         for i, window in enumerate(self.faults.throttles):
@@ -123,8 +144,8 @@ class RunConfig:
 
         Validates what a config deserialised from external JSON could
         smuggle in, as a :class:`ConfigError` naming the field: an unknown
-        key (top-level or inside ``calibration``), a value of the wrong
-        type, a zero/negative window, a negative settle, or cpus below one.
+        key (top-level or inside ``calibration``) or a value of the wrong
+        type; the constructor then checks the values' ranges.
         """
         raw = dict(raw)
         unknown = check_fields(raw, cls, "config")
@@ -135,29 +156,11 @@ class RunConfig:
             raise ConfigError(
                 f"unknown config key(s) in JSON: {', '.join(unknown)}"
             )
-        cfg = cls(
+        return cls(
             calibration=Calibration(**cal) if cal else None,
             faults=FaultPlan.from_json_dict(faults) if faults else None,
             **raw,
         )
-        if cfg.duration_ticks < 1:
-            raise ConfigError(
-                f"duration_ticks must be >= 1, got {cfg.duration_ticks}"
-            )
-        if cfg.settle_ticks < 0:
-            raise ConfigError(
-                f"settle_ticks must be >= 0, got {cfg.settle_ticks}"
-            )
-        if cfg.cpus < 1:
-            raise ConfigError(f"cpus must be >= 1, got {cfg.cpus}")
-        if cfg.cpu_profile is not None:
-            count = profile_cpu_count(cfg.cpu_profile)  # parse-validates
-            if count != cfg.cpus:
-                raise ConfigError(
-                    f"cpu_profile {cfg.cpu_profile!r} describes {count} "
-                    f"cores but cpus={cfg.cpus}"
-                )
-        return cfg
 
 
 #: A fast configuration for tests.
@@ -250,8 +253,8 @@ def _run_spec(spec: BenchmarkSpec, cfg: RunConfig) -> RunResult:
         # byte-identical to the pre-SMP engine's output.
         smp = {
             "cpus": cfg.cpus,
-            "instr_by_cpu": dict(system.profiler.instr_by_cpu),
-            "data_by_cpu": dict(system.profiler.data_by_cpu),
+            "instr_by_cpu": system.profiler.instr_by_cpu,
+            "data_by_cpu": system.profiler.data_by_cpu,
             "busy_ticks_by_cpu": {
                 cpu.cpu_id: cpu.busy_ticks - busy_at_open[cpu.cpu_id]
                 for cpu in system.cpus

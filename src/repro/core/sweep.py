@@ -28,7 +28,12 @@ from repro.calibration import (
     profile_cpu_count,
 )
 from repro.core.backends.sharded import shard_ids
-from repro.core.results import ResultCache, RunResult, load_json_file
+from repro.core.results import (
+    ResultCache,
+    RunResult,
+    dump_streamed,
+    load_json_file,
+)
 from repro.core.runner import Reducer, RunConfig, dedup_ids, execute_with_cache
 from repro.core.suite import get_benchmark
 from repro.errors import AnalysisError, ConfigError
@@ -447,20 +452,24 @@ class SweepResult:
     # ------------------------------------------------------------------
     # Serialisation
 
-    def to_json_dict(self) -> dict:
-        """Plain-JSON representation (cells as an ordered list, since
-        tuple keys don't survive JSON)."""
+    def _header(self) -> dict:
+        """Every key of :meth:`to_json_dict` but the trailing ``cells``."""
         return {
             "axes": {name: list(vals) for name, vals in self.axes.items()},
             "variants": {
                 label: dict(vals) for label, vals in self.variant_values.items()
             },
             "benches": list(self.bench_ids),
-            "cells": [
-                {"bench_id": bid, "variant": var, "run": run.to_json_dict()}
-                for (bid, var), run in self.runs.items()
-            ],
         }
+
+    def _cells(self) -> "Iterable[dict]":
+        for (bid, var), run in self.runs.items():
+            yield {"bench_id": bid, "variant": var, "run": run.to_json_dict()}
+
+    def to_json_dict(self) -> dict:
+        """Plain-JSON representation (cells as an ordered list, since
+        tuple keys don't survive JSON)."""
+        return {**self._header(), "cells": list(self._cells())}
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "SweepResult":
@@ -481,9 +490,11 @@ class SweepResult:
         return out
 
     def save(self, path: str) -> None:
-        """Write the sweep to a JSON file."""
+        """Write the sweep to a JSON file, encoding one cell at a time."""
+        # The header's closing brace gives way to the cells list.
+        head = json.dumps(self._header())[:-1] + ', "cells": ['
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+            dump_streamed(fh, head, map(json.dumps, self._cells()), "]}")
 
     @classmethod
     def load(cls, path: str) -> "SweepResult":

@@ -30,6 +30,13 @@ on — a run is a pure function of ``(bench_id, RunConfig)``):
   (the tie-break would have selected it), parking binds no task and
   enqueues nothing, and no timer or fault can come due before the clock
   moves.
+* A parked CPU's first nonzero idle charge in each :meth:`Engine.run_until`
+  call goes to the profiler when it is made; later ones add to a
+  per-CPU count that is charged once, in CPU-id order, as the call
+  returns.  The first charge creates the swapper's profiler keys for
+  that CPU, and the later ones only add to those keys, so every
+  counter keeps its first-charge key order and its sum.  Nothing reads
+  the profiler inside ``run_until``.
 * With ``cpus=1`` the loop replays the original single-CPU engine
   op-for-op, so single-core results stay byte-identical.
 
@@ -47,8 +54,6 @@ from repro.kernel.task import TaskState
 from repro.sim.ops import Block, ExecBlock, Sleep, SleepUntil, Yield
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
-
     from repro.kernel.task import Task
     from repro.sim.cpu import AtomicCPU
     from repro.sim.system import System
@@ -60,7 +65,7 @@ IDLE_INSTS_PER_TICK = 0.0005
 class _CpuSlot:
     """One CPU's execution state inside the event loop."""
 
-    __slots__ = ("cpu", "index", "task", "quantum_end", "next_at")
+    __slots__ = ("cpu", "index", "task", "quantum_end", "next_at", "idle_owed")
 
     def __init__(self, cpu: "AtomicCPU", index: int) -> None:
         self.cpu = cpu
@@ -72,6 +77,9 @@ class _CpuSlot:
         #: it is retiring, the instant it should re-pick, or (while idle)
         #: the next event that could hand it work.
         self.next_at = 0
+        #: Idle instructions parked but not yet charged in this
+        #: ``run_until`` call; None until its first idle charge.
+        self.idle_owed: "int | None" = None
 
 
 class Engine:
@@ -101,6 +109,12 @@ class Engine:
 
     def run_until(self, deadline: int) -> None:
         """Advance simulated time to *deadline* (absolute tick)."""
+        try:
+            self._run_until(deadline)
+        finally:
+            self._charge_owed_idle()
+
+    def _run_until(self, deadline: int) -> None:
         clock = self.clock
         timers = self.timers
         timer_heap = timers._heap  # hot-loop: probe before paying fire_due
@@ -170,14 +184,11 @@ class Engine:
             if task is None:
                 if idle and not queued():
                     # Every pick would fail: park all idle CPUs due now.
-                    self._park(
-                        [s for s in slots if s.task is None and s.next_at == now],
-                        now, deadline,
-                    )
+                    self._park(now, deadline)
                     continue
                 task = sched.pick(best.index)
                 if task is None:
-                    self._park((best,), now, deadline)
+                    self._park(now, deadline, best)
                     continue
                 best.task = task
                 best.quantum_end = now + timeslice(task)
@@ -258,21 +269,26 @@ class Engine:
         self.timers.add(deadline, task)
 
     def _park(
-        self, parked: "Iterable[_CpuSlot]", now: int, deadline: int
+        self, now: int, deadline: int, only: "_CpuSlot | None" = None
     ) -> None:
-        """Idle each CPU of *parked*, in order, until the next event that
-        could hand it work: a timer firing, or any busy CPU's next action
-        (ops are where wakeups, spawns and queue placement happen),
-        capped at *deadline*.  The target is strictly in the future
-        (timers due now already fired; zero-length blocks keep their CPU
-        ahead in the tie-break), so a parked CPU always makes progress."""
+        """Idle *only*, or with None every CPU due now with no task, in
+        CPU-id order, until the next event that could hand it work: a
+        timer firing, or any busy CPU's next action (ops are where
+        wakeups, spawns and queue placement happen), capped at
+        *deadline*.  The target is strictly in the future (timers due now
+        already fired; zero-length blocks keep their CPU ahead in the
+        tie-break), so a parked CPU always makes progress."""
         target = deadline
         next_timer = self.timers.next_deadline()
         if next_timer is not None and now < next_timer < target:
             target = next_timer
+        parked = [] if only is None else [only]
         for other in self._slots:
-            if other.task is not None and now < other.next_at < target:
-                target = other.next_at
+            if other.task is not None:
+                if now < other.next_at < target:
+                    target = other.next_at
+            elif only is None and other.next_at == now:
+                parked.append(other)
         span = target - now
         insts = int(span * IDLE_INSTS_PER_TICK)
         idle = self.system.kernel.idle_task
@@ -283,9 +299,24 @@ class Engine:
             tpi = slot.cpu.ticks_per_inst
             charged = insts // tpi if tpi > 1 else insts
             if idle is not None and charged > 0:
-                self.profiler.charge_idle(
-                    idle.process.comm, idle.name, charged, slot.index
-                )
+                if slot.idle_owed is None:
+                    self.profiler.charge_idle(
+                        idle.process.comm, idle.name, charged, slot.index
+                    )
+                    slot.idle_owed = 0
+                else:
+                    slot.idle_owed += charged
             self.idle_ticks += span
             self.cpu_idle_ticks[slot.index] += span
             slot.next_at = target
+
+    def _charge_owed_idle(self) -> None:
+        """Charge each CPU's deferred idle instructions, in CPU-id order,
+        and clear the deferral for the next ``run_until`` call."""
+        idle = self.system.kernel.idle_task
+        for slot in self._slots:
+            if slot.idle_owed:
+                self.profiler.charge_idle(
+                    idle.process.comm, idle.name, slot.idle_owed, slot.index
+                )
+            slot.idle_owed = None

@@ -4,20 +4,31 @@ Every retired :class:`~repro.sim.ops.ExecBlock` is attributed here to:
 
 * the VMA region label of the code address (instruction reads),
 * the VMA region label of each data target (data references),
-* the process comm and thread name *at retire time*.
+* the process comm and thread name *at retire time*,
+* the CPU that retired it.
 
 Attribution is address-based: user addresses are resolved through the
 owning process's :meth:`AddressSpace.find_vma`; kernel addresses
 short-circuit to the ``OS kernel`` region, matching the paper's single
-kernel bucket.  Counters are plain dicts so a whole-suite run stays cheap.
+kernel bucket.
+
+The profiler keeps one table per reference kind, instruction reads and
+data references, each keyed by ``(comm, thread, region label, cpu)``, so
+a retired block costs one table update for its code address and one per
+data pair.  The paper's axes (``instr_by_region``, ``data_by_proc``,
+``refs_by_thread``, ...) are read-only projections summed from the
+tables in insertion order.  The first table key holding an axis key was
+inserted by the first charge of that axis key, so every axis lists its
+keys in first-charge order, the order the saved JSON has always had.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable
 
-from repro.kernel.layout import is_kernel_addr
+from repro.kernel.layout import KERNEL_BASE
 from repro.kernel.vma import LABEL_OS_KERNEL
 
 if TYPE_CHECKING:
@@ -27,102 +38,138 @@ if TYPE_CHECKING:
 #: Region label used for instruction fetches by tasks with no user mm.
 _KERNEL = LABEL_OS_KERNEL
 
+#: A table key: (process comm, thread name, region label, CPU id).
+RefKey = tuple[str, str, str, int]
+
+_COMM = itemgetter(0)
+_THREAD = itemgetter(0, 1)
+_REGION = itemgetter(2)
+_PROC_REGION = itemgetter(0, 2)
+_CPU = itemgetter(3)
+
+
+def _project(table: "dict[RefKey, int]", axis: Callable) -> dict:
+    """Sum *table* onto *axis* keys, in the table's insertion order."""
+    out: dict = {}
+    get = out.get
+    for key, n in table.items():
+        k = axis(key)
+        out[k] = get(k, 0) + n
+    return out
+
 
 class MemProfiler:
     """Accumulates reference counts along every axis the paper reports."""
 
     def __init__(self) -> None:
-        self.enabled = True
-        self.instr_by_region: dict[str, int] = defaultdict(int)
-        self.data_by_region: dict[str, int] = defaultdict(int)
-        self.instr_by_proc: dict[str, int] = defaultdict(int)
-        self.data_by_proc: dict[str, int] = defaultdict(int)
-        #: (process comm, thread name) -> instruction + data references.
-        self.refs_by_thread: dict[tuple[str, str], int] = defaultdict(int)
-        #: (process comm, region label) -> instruction reads (detail axis).
-        self.instr_by_proc_region: dict[tuple[str, str], int] = defaultdict(int)
-        #: (process comm, region label) -> data references (detail axis).
-        self.data_by_proc_region: dict[tuple[str, str], int] = defaultdict(int)
-        #: CPU id -> instruction reads retired on that CPU (SMP axis).
-        self.instr_by_cpu: dict[int, int] = defaultdict(int)
-        #: CPU id -> data references issued from that CPU (SMP axis).
-        self.data_by_cpu: dict[int, int] = defaultdict(int)
-        self.total_instr = 0
-        self.total_data = 0
-        self.blocks_retired = 0
+        #: (comm, thread, region label, cpu) -> instruction reads.
+        self.instr_refs: dict[RefKey, int] = defaultdict(int)
+        #: (comm, thread, region label, cpu) -> data references.
+        self.data_refs: dict[RefKey, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
 
     def reset(self) -> None:
         """Zero every counter (called when the measurement window opens)."""
-        self.instr_by_region.clear()
-        self.data_by_region.clear()
-        self.instr_by_proc.clear()
-        self.data_by_proc.clear()
-        self.refs_by_thread.clear()
-        self.instr_by_proc_region.clear()
-        self.data_by_proc_region.clear()
-        self.instr_by_cpu.clear()
-        self.data_by_cpu.clear()
-        self.total_instr = 0
-        self.total_data = 0
-        self.blocks_retired = 0
+        self.instr_refs.clear()
+        self.data_refs.clear()
 
     def charge(self, task: "Task", block: "ExecBlock", cpu_id: int = 0) -> None:
         """Attribute one retired block to the task's process/thread/VMAs
         and the retiring CPU."""
-        if not self.enabled:
-            return
         proc = task.process
         comm = proc.comm
         tname = task.name
         mm = proc.mm
-        insts = block.insts
 
-        if is_kernel_addr(block.code_addr) or mm is None:
-            code_label = _KERNEL
+        addr = block.code_addr
+        if mm is None or addr >= KERNEL_BASE:
+            label = _KERNEL
         else:
-            code_label = mm.find_vma(block.code_addr).label
+            label = mm.find_vma(addr).label
+        self.instr_refs[(comm, tname, label, cpu_id)] += block.insts
 
-        self.blocks_retired += 1
-        self.total_instr += insts
-        self.instr_by_region[code_label] += insts
-        self.instr_by_proc[comm] += insts
-        self.instr_by_proc_region[(comm, code_label)] += insts
-        self.instr_by_cpu[cpu_id] += insts
-
-        data_total = 0
-        for addr, count in block.data:
-            if count <= 0:
-                continue
-            if is_kernel_addr(addr) or mm is None:
-                label = _KERNEL
-            else:
-                label = mm.find_vma(addr).label
-            data_total += count
-            self.data_by_region[label] += count
-            self.data_by_proc_region[(comm, label)] += count
-
-        if data_total:
-            self.total_data += data_total
-            self.data_by_proc[comm] += data_total
-            self.data_by_cpu[cpu_id] += data_total
-
-        self.refs_by_thread[(comm, tname)] += insts + data_total
+        data = block.data
+        if data:
+            table = self.data_refs
+            for addr, count in data:
+                if count <= 0:
+                    continue
+                if mm is None or addr >= KERNEL_BASE:
+                    label = _KERNEL
+                else:
+                    label = mm.find_vma(addr).label
+                table[(comm, tname, label, cpu_id)] += count
 
     def charge_idle(self, comm: str, tname: str, insts: int, cpu_id: int = 0) -> None:
         """Attribute idle-loop kernel work (the ``swapper`` task)."""
-        if not self.enabled or insts <= 0:
-            return
-        self.total_instr += insts
-        self.instr_by_region[_KERNEL] += insts
-        self.instr_by_proc[comm] += insts
-        self.instr_by_proc_region[(comm, _KERNEL)] += insts
-        self.instr_by_cpu[cpu_id] += insts
-        self.refs_by_thread[(comm, tname)] += insts
+        if insts > 0:
+            self.instr_refs[(comm, tname, _KERNEL, cpu_id)] += insts
 
     # ------------------------------------------------------------------
-    # Derived views
+    # The paper's axes, projected from the tables
+
+    @property
+    def instr_by_region(self) -> dict[str, int]:
+        """Region label -> instruction reads."""
+        return _project(self.instr_refs, _REGION)
+
+    @property
+    def data_by_region(self) -> dict[str, int]:
+        """Region label -> data references."""
+        return _project(self.data_refs, _REGION)
+
+    @property
+    def instr_by_proc(self) -> dict[str, int]:
+        """Process comm -> instruction reads."""
+        return _project(self.instr_refs, _COMM)
+
+    @property
+    def data_by_proc(self) -> dict[str, int]:
+        """Process comm -> data references."""
+        return _project(self.data_refs, _COMM)
+
+    @property
+    def instr_by_proc_region(self) -> dict[tuple[str, str], int]:
+        """(process comm, region label) -> instruction reads."""
+        return _project(self.instr_refs, _PROC_REGION)
+
+    @property
+    def data_by_proc_region(self) -> dict[tuple[str, str], int]:
+        """(process comm, region label) -> data references."""
+        return _project(self.data_refs, _PROC_REGION)
+
+    @property
+    def instr_by_cpu(self) -> dict[int, int]:
+        """CPU id -> instruction reads retired on that CPU (SMP axis)."""
+        return _project(self.instr_refs, _CPU)
+
+    @property
+    def data_by_cpu(self) -> dict[int, int]:
+        """CPU id -> data references issued from that CPU (SMP axis)."""
+        return _project(self.data_refs, _CPU)
+
+    @property
+    def refs_by_thread(self) -> dict[tuple[str, str], int]:
+        """(process comm, thread name) -> instruction + data references.
+
+        Every charge inserts its instruction key before any data key of
+        the same thread, so the instruction table alone fixes the order.
+        """
+        out = _project(self.instr_refs, _THREAD)
+        for key, n in self.data_refs.items():
+            out[key[:2]] += n
+        return out
+
+    @property
+    def total_instr(self) -> int:
+        """Instruction reads."""
+        return sum(self.instr_refs.values())
+
+    @property
+    def total_data(self) -> int:
+        """Data references."""
+        return sum(self.data_refs.values())
 
     @property
     def total_refs(self) -> int:
@@ -141,11 +188,11 @@ class MemProfiler:
         """Plain-dict copy of every counter (JSON-friendly keys applied
         later by :mod:`repro.core.results`)."""
         return {
-            "instr_by_region": dict(self.instr_by_region),
-            "data_by_region": dict(self.data_by_region),
-            "instr_by_proc": dict(self.instr_by_proc),
-            "data_by_proc": dict(self.data_by_proc),
-            "refs_by_thread": dict(self.refs_by_thread),
-            "instr_by_proc_region": dict(self.instr_by_proc_region),
-            "data_by_proc_region": dict(self.data_by_proc_region),
+            "instr_by_region": self.instr_by_region,
+            "data_by_region": self.data_by_region,
+            "instr_by_proc": self.instr_by_proc,
+            "data_by_proc": self.data_by_proc,
+            "refs_by_thread": self.refs_by_thread,
+            "instr_by_proc_region": self.instr_by_proc_region,
+            "data_by_proc_region": self.data_by_proc_region,
         }

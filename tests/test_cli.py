@@ -90,3 +90,17 @@ def test_malformed_results_file_is_a_clean_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", (
+    ["--duration", "0"],
+    ["--duration", "-1"],
+    ["--settle-ms", "-5"],
+), ids=("zero-window", "negative-window", "negative-settle"))
+def test_out_of_range_window_is_a_clean_error(capsys, flags):
+    """``--duration 0`` used to print "0 references" and exit 0, and a
+    negative settle ran with it in its cache key; both are config errors."""
+    assert main([*flags, "run", "countdown.main"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "must be >=" in captured.err
+    assert "references" not in captured.out

@@ -216,6 +216,33 @@ def test_smp_idle_cpus_never_pick_from_empty_runqueues():
     assert calls["all"] > 0 and system.engine.idle_ticks > idle_before
 
 
+def test_parked_cpus_charge_idle_at_most_twice_per_run():
+    """On a booted 2+2 Android stack, one ``run_for`` hands each CPU's
+    idle work to the profiler at most twice: the first idle charge,
+    which creates the swapper's keys when it always did, and one charge
+    of the rest as the call returns."""
+    from collections import Counter
+
+    from repro.core.runner import RunConfig, _prepared_system
+    from repro.core.suite import get_benchmark
+
+    cfg = RunConfig(cpus=4, cpu_profile="2+2")
+    system, _, _ = _prepared_system(get_benchmark("music.mp3.view"), cfg)
+    profiler = system.profiler
+    charge_idle = profiler.charge_idle
+    calls = Counter()
+
+    def watched_charge_idle(comm, tname, insts, cpu_id=0):
+        calls[cpu_id] += 1
+        charge_idle(comm, tname, insts, cpu_id)
+
+    profiler.charge_idle = watched_charge_idle
+    system.run_for(millis(300))
+    assert sorted(calls) == [0, 1, 2, 3]
+    assert max(calls.values()) <= 2
+    assert profiler.instr_by_proc["swapper"] > 0
+
+
 def test_cpu_that_loses_its_task_to_a_fault_parks_alone():
     """CPUs 0 and 1 finish a block at the same tick while CPU 2 idles
     until then; a fault kills CPU 0's task at that tick.  CPU 0 parks,

@@ -1,9 +1,11 @@
 """RunResult / SuiteResult serialisation and determinism."""
 
+import io
 import json
 import os
 import re
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,65 @@ def test_suite_save_load(tmp_path, quick_suite):
     assert set(loaded.ids()) == set(quick_suite.ids())
     for bid in quick_suite.ids():
         assert loaded.get(bid).total_refs == quick_suite.get(bid).total_refs
+
+
+def _json_dump_bytes(payload) -> bytes:
+    buf = io.StringIO()
+    json.dump(payload, buf)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def faulted_smp_run():
+    """A short 2+2 run under chaos: CPU-keyed axes and fault counters."""
+    from repro.core import execute_one
+
+    cfg = RunConfig(duration_ticks=millis(300), settle_ticks=millis(100),
+                    cpus=4, cpu_profile="2+2", faults=fault_plan("chaos"))
+    return execute_one("countdown.main", cfg)
+
+
+@pytest.mark.parametrize("ids", ((), ("countdown.main",), (
+    "countdown.main", "music.mp3.view", "osmand.map.view", "999.specrand",
+)), ids=("empty", "one", "several"))
+def test_suite_save_writes_the_bytes_json_dump_writes(
+        tmp_path, quick_suite, faulted_smp_run, ids):
+    """save encodes one run at a time; the file must still hold exactly
+    the bytes json.dump writes for the whole {bench_id: run} object."""
+    suite = quick_suite.subset(ids)
+    if ids:
+        suite.runs["countdown.main.smp"] = faulted_smp_run
+    path = tmp_path / "suite.json"
+    suite.save(str(path))
+    payload = {bid: run.to_json_dict() for bid, run in suite.runs.items()}
+    assert path.read_bytes() == _json_dump_bytes(payload)
+
+
+def test_sweep_save_writes_the_bytes_json_dump_writes(
+        tmp_path, quick_suite, faulted_smp_run):
+    """Likewise for sweeps, with cells, with axes but no cells (a shard
+    that drew none), and empty."""
+    from repro.core.sweep import SweepResult
+
+    variants = {
+        "a": {"jit": False, "faults": None, "cal.gc_survivor_ratio": 0.25},
+        "b": {"jit": True, "faults": "chaos", "cal.gc_survivor_ratio": 1e-3},
+    }
+    axes = {"jit": [False, True], "faults": [None, "chaos"],
+            "cal.gc_survivor_ratio": [0.25, 1e-3]}
+    full = SweepResult(axes=axes, variant_values=variants,
+                       bench_ids=["countdown.main", "999.specrand"])
+    full.add("countdown.main", "a", quick_suite.get("countdown.main"))
+    full.add("countdown.main", "b", faulted_smp_run)
+    full.add("999.specrand", "a", quick_suite.get("999.specrand"))
+    no_cells = SweepResult(axes=axes, variant_values=variants,
+                           bench_ids=["countdown.main"])
+    for name, sweep in (("full", full), ("no-cells", no_cells),
+                        ("empty", SweepResult())):
+        path = tmp_path / f"{name}.json"
+        sweep.save(str(path))
+        assert path.read_bytes() == _json_dump_bytes(sweep.to_json_dict()), name
+        assert json.loads(path.read_text()) == sweep.to_json_dict(), name
 
 
 def test_subset_errors_on_missing(quick_suite):
@@ -81,6 +142,28 @@ def test_run_config_from_json_rejects_degenerate_windows():
         with pytest.raises(ConfigError):
             RunConfig.from_json_dict(raw)
     assert RunConfig.from_json_dict(good) == RunConfig()
+
+
+@pytest.mark.parametrize("kwargs, field", (
+    ({"duration_ticks": 0}, "duration_ticks"),
+    ({"duration_ticks": -5}, "duration_ticks"),
+    ({"settle_ticks": -1}, "settle_ticks"),
+    ({"cpus": 0}, "cpus"),
+    ({"cpus": 2, "cpu_profile": "2+2"}, "cpu_profile"),
+    ({"cpus": 4, "cpu_profile": "banana"}, "cpu profile"),
+), ids=("zero-window", "negative-window", "negative-settle", "no-cpus",
+        "profile-mismatch", "profile-unparsed"))
+def test_run_config_rejects_out_of_range_values_when_built_directly(
+        kwargs, field):
+    """The range checks hold for every RunConfig, not only decoded ones:
+    a zero window used to run and report 0 references, a negative settle
+    ran with it in its cache key, and a cpus/profile mismatch died at run
+    time with a bare ValueError from System."""
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(**kwargs)
+    assert field in str(exc.value)
+    with pytest.raises(ConfigError):
+        replace(RunConfig(), **kwargs)
 
 
 def test_run_config_from_json_names_unknown_keys():

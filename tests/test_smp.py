@@ -147,6 +147,16 @@ _IDLE_PATH_GOLDEN = {
             "7d7230d50cb6ad931287882425e6db1be0c8f087600b2521ad1e1840fe87449e",
         ),
     },
+    "cpus=1": {
+        "countdown.main": (
+            "eb2444f9e8e17285f5356e9488660506061424e9199e75eced1342c4d5843e0e",
+            "057727aa03d0ac1dea0635fd0153a40289b977ebefb03fab650c4ef30a3231bd",
+        ),
+        "music.mp3.view": (
+            "c638a9c7e43ef54dac3854d82e6cf8c369c0a265806e54d636ac47c40b354e0e",
+            "d9e9c4047eab67235fdcbfd660be0c14a89e9eb9e1626a1bc34baf800f6ab35c",
+        ),
+    },
     "cpus=3": {
         "countdown.main": (
             "b6824427f5515e1ece4c5da7184ec305b54e42bf7f3fcb1b283944773ac2ec14",
@@ -163,9 +173,9 @@ _IDLE_PATH_GOLDEN = {
 @pytest.mark.parametrize("machine", sorted(_IDLE_PATH_GOLDEN))
 def test_smp_idle_path_results_match_golden(machine):
     """Byte-identity of SMP runs, CFS big.LITTLE under faults and
-    symmetric round-robin, down to the dict order of the saved JSON.
-    Never skipped: a change that moves these results must re-record
-    them with an explanation."""
+    symmetric round-robin, and of single-CPU runs, down to the dict
+    order of the saved JSON.  Never skipped: a change that moves these
+    results must re-record them with an explanation."""
     from repro.faults.plan import fault_plan
 
     base = dict(duration_ticks=seconds(1), settle_ticks=millis(200),
@@ -173,6 +183,7 @@ def test_smp_idle_path_results_match_golden(machine):
     cfg = {
         "2+2 chaos": RunConfig(**base, cpus=4, cpu_profile="2+2",
                                faults=fault_plan("chaos")),
+        "cpus=1": RunConfig(**base),
         "cpus=3": RunConfig(**base, cpus=3),
     }[machine]
     for bench_id, (want_sorted, want_saved) in _IDLE_PATH_GOLDEN[machine].items():
