@@ -44,6 +44,7 @@ silently wrong.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import partial
@@ -93,10 +94,19 @@ from repro.core import (
 from repro.calibration import profile_cpu_count
 from repro.errors import AnalysisError, ConfigError, ReproError
 from repro.faults import fault_plan, plan_names
-from repro.sim.ticks import millis, seconds
+from repro.sim.ticks import millis, seconds, to_seconds
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    # Range errors name the flag the user typed, in its own unit; the
+    # config would name its field in ticks.
+    if not (math.isfinite(args.duration) and seconds(args.duration) >= 1):
+        raise ConfigError(
+            f"--duration must be >= {to_seconds(1):g} s (one tick) and "
+            f"finite, got {args.duration:g}"
+        )
+    if args.settle_ms < 0:
+        raise ConfigError(f"--settle-ms must be >= 0, got {args.settle_ms}")
     cpus = args.cpus
     if cpus is not None and cpus < 1:
         raise ConfigError(f"--cpus must be >= 1, got {cpus}")

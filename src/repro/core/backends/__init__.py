@@ -5,9 +5,9 @@ planning, cache lookups, result assembly); a backend decides *how* the
 cache misses execute:
 
 - :class:`SerialBackend` — in-process, one at a time (``--jobs 1``).
-- :class:`AsyncBackend` — a process pool fed from a streaming
-  orchestrator with a bounded in-flight window; result I/O (cache
-  writes, progress) overlaps in-flight simulations (``--jobs N > 1``).
+- :class:`AsyncBackend` — a process pool the calling thread feeds
+  through a bounded in-flight window; result I/O (cache writes,
+  progress) overlaps in-flight simulations (``--jobs N > 1``).
 
 ``make_backend`` builds the one ``--jobs`` selects.
 """
@@ -20,7 +20,6 @@ from repro.core.backends.base import (
     BatchProgress,
     ExecutionBackend,
     ProgressCallback,
-    WorkItem,
 )
 from repro.core.backends.serial import SerialBackend
 from repro.core.backends.sharded import parse_shard, shard_ids
@@ -45,7 +44,6 @@ __all__ = [
     "ExecutionBackend",
     "ProgressCallback",
     "SerialBackend",
-    "WorkItem",
     "make_backend",
     "parse_shard",
     "shard_ids",

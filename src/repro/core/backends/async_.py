@@ -1,5 +1,5 @@
-"""Pool execution (the ``--jobs N > 1`` backend): a streaming
-orchestrator feeding a process pool.
+"""Pool execution (the ``--jobs N > 1`` backend): the calling thread
+feeds a process pool and handles every completion itself.
 
 Each benchmark boots a fully isolated :class:`~repro.sim.system.System`
 with a seed derived only from ``(cfg.seed, bench_id)``, so runs are
@@ -10,13 +10,14 @@ pickles across the process boundary, and
 worker's fresh ``System``, so no parent-process global state is relied
 upon.
 
-Dispatch and completion handling overlap.  The calling thread streams
-work items into a bounded in-flight window (capping queued-result memory
-no matter how large the batch), while a dedicated completion thread
-drains finished futures as they complete and invokes ``on_result`` — so
-cache writes and progress I/O for finished units happen while later
-units are still simulating, and cache *lookups* for later units ride the
-stream instead of blocking the first submission.
+Dispatch and completion handling overlap with simulation, not with each
+other.  While fewer than ``INFLIGHT_PER_JOB * jobs`` units are in
+flight, the calling thread pulls and submits (capping queued-result
+memory no matter how large the batch, and letting cache *lookups* for
+later units ride the stream); otherwise it waits for the first
+completions and reports them.  Cache writes and progress I/O for
+finished units thus happen while later units are still simulating in
+the workers, and with no second thread, callbacks need no locks.
 
 Determinism is unchanged: results are reported by pull index, so the
 output is byte-identical to
@@ -26,10 +27,8 @@ completion order or job count.
 
 from __future__ import annotations
 
-import itertools
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.backends.base import BackendError, BatchProgress
@@ -55,19 +54,15 @@ def _timed_worker(bench_id: str, cfg: "RunConfig") -> "tuple[RunResult, float]":
 
 
 class AsyncBackend:
-    """Feeds a pool of *jobs* worker processes from the calling thread
-    while a completion thread handles results as they finish
-    (as-completed streaming, not ordered blocking).
+    """Feeds a pool of *jobs* worker processes and reports completions as
+    they finish, all from the calling thread (as-completed streaming,
+    not ordered blocking).
 
     At most ``INFLIGHT_PER_JOB * jobs`` units are in flight at once —
-    pulled from the stream but not yet completed, stored, and reported.
-    The calling thread takes a slot *before* pulling the next item, so
-    that bound is also the backpressure that paces streamed cache
-    lookups.  ``on_result`` is invoked from the completion thread,
-    exactly once per unit; invocations are serialised (one completion
-    thread), but they are concurrent with the *calling* thread, so
-    callbacks shared with it must synchronise —
-    :func:`~repro.core.runner.execute_with_cache` does.
+    pulled from the stream but not yet reported.  A full window is
+    drained before the next pull, so that bound is also the
+    backpressure that paces streamed cache lookups.  ``on_result`` runs
+    on the calling thread, exactly once per unit.
     """
 
     name = "async"
@@ -87,77 +82,35 @@ class AsyncBackend:
     ) -> None:
         """Consume *items* lazily, keeping a bounded number in flight.
 
-        The iterable is pulled from the calling thread (so a generator
-        that probes a cache per item runs its lookups while earlier
-        misses simulate); completions are handled on a dedicated thread.
-        A worker failure stops consumption, waits for in-flight units,
-        and re-raises the original exception.
+        An exception from a worker or from ``on_result`` stops
+        consumption, cancels the units not yet started, and propagates
+        once the pool has shut down.
 
-        No result is retained after its ``on_result`` invocation
-        returns: each future is dropped the moment its completion is
-        handled, so a streaming-reduction caller holds the only
-        reference and peak memory stays bounded by the in-flight window
-        however long the stream runs.
+        No result is retained after its ``on_result`` call returns: each
+        future is dropped as it is reported, so a streaming-reduction
+        caller holds the only reference and peak memory stays bounded by
+        the in-flight window however long the stream runs.
         """
-        pulled = iter(items)
-        slots = threading.Semaphore(INFLIGHT_PER_JOB * self.jobs)
-        failure: list[BaseException] = []
-        stop = threading.Event()
-        #: Futures submitted but not yet completion-handled.  Tracked as
-        #: a set (not an append-only list) so a handled future — and the
-        #: result object it pins — is dropped immediately; the set also
-        #: scopes failure-path cancellation to genuinely pending work.
-        in_flight_futures: set = set()
-        futures_lock = threading.Lock()
+        window = INFLIGHT_PER_JOB * self.jobs
+        # Future -> (pull index, bench id) of each unit not yet reported.
+        in_flight: dict = {}
 
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
-        completer = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="async-complete"
-        )
-
-        def complete(index: int, bench_id: str, future) -> None:
-            try:
+        def report_first_done() -> None:
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=in_flight.get):
+                index, bench_id = in_flight.pop(future)
                 result, elapsed = future.result()
                 self.executed.append(bench_id)
                 on_result(index, elapsed, result)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                if not failure:
-                    failure.append(exc)
-                stop.set()
-            finally:
-                with futures_lock:
-                    in_flight_futures.discard(future)
-                slots.release()
 
+        pool = ProcessPoolExecutor(max_workers=self.jobs)
         try:
-            for index in itertools.count():
-                slots.acquire()
-                item = next(pulled, None)
-                if item is None or stop.is_set():
-                    slots.release()
-                    break
-                bench_id, cfg = item
+            for index, (bench_id, cfg) in enumerate(items):
                 future = pool.submit(_timed_worker, bench_id, cfg)
-                with futures_lock:
-                    in_flight_futures.add(future)
-                # Registered only after the future is tracked, so the
-                # completion handler's discard always finds it.
-                future.add_done_callback(
-                    lambda fut, i=index, bid=bench_id: completer.submit(
-                        complete, i, bid, fut
-                    )
-                )
+                in_flight[future] = (index, bench_id)
+                if len(in_flight) == window:
+                    report_first_done()
+            while in_flight:
+                report_first_done()
         finally:
-            if stop.is_set():
-                with futures_lock:
-                    doomed = list(in_flight_futures)
-                for future in doomed:
-                    future.cancel()
-            # Shutdown order matters: the pool first (so every done
-            # callback has handed its future to the completer), then the
-            # completer (so every completion has run to the end).
-            pool.shutdown(wait=True)
-            completer.shutdown(wait=True)
-
-        if failure:
-            raise failure[0]
+            pool.shutdown(wait=True, cancel_futures=True)

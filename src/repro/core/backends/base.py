@@ -8,9 +8,10 @@ byte-identical regardless of backend or job count.  Nor does it own
 *which* runs happen: cache lookups and shard ownership are planned by the
 runners before an item ever reaches a backend.
 
-The primitive unit of work is a :data:`WorkItem` — one ``(bench_id,
-config)`` pair.  Each item carries its own config, so a parameter sweep's
-points interleave freely in a pool.
+The primitive unit of work is one ``(bench_id, config)`` pair.  Each item
+carries its own config, so a parameter sweep's points interleave freely
+in a pool.  Every result is reported through one callback, on the
+thread that called the backend.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import (
     Iterable,
     Protocol,
     Sequence,
-    Tuple,
     runtime_checkable,
 )
 
@@ -30,11 +30,6 @@ from repro.errors import ReproError
 if TYPE_CHECKING:
     from repro.core.results import RunResult
     from repro.core.runner import RunConfig
-
-#: One unit of executable work: a benchmark id plus the config to run it
-#: under.  Fully picklable, so a batch can be shipped to worker processes
-#: (or, eventually, other machines).
-WorkItem = Tuple[str, "RunConfig"]
 
 #: Callback invoked as each run completes: ``(bench_id, elapsed_seconds,
 #: result)``.  ``elapsed`` is ``None`` when the result came from a cache
@@ -77,9 +72,9 @@ class ExecutionBackend(Protocol):
     the item's consumption order; nothing is returned, so a backend
     holds no result past its ``on_result`` call and a streaming
     reduction runs in bounded memory however many units pass through.
-    ``on_result`` may be invoked concurrently with the calling thread,
-    so shared callbacks must synchronise.  All run state must derive
-    from the work item alone — no process state may leak into results.
+    ``on_result`` runs on the calling thread, so callbacks need no
+    locks.  All run state must derive from the work item alone — no
+    process state may leak into results.
     """
 
     #: Short name used in error messages.

@@ -35,7 +35,7 @@ from repro.calibration import (
 )
 from repro.core.backends.sharded import shard_ids
 from repro.core.results import ResultCache, RunResult, load_json_file
-from repro.core.runner import Reducer, RunConfig, execute_with_cache
+from repro.core.runner import RunConfig, execute_with_cache
 from repro.core.stats import (
     DEFAULT_SAMPLE_CAPACITY,
     FLEET_METRICS,
@@ -432,38 +432,6 @@ class FleetResult:
         return load_json_file(path, "fleet result", cls.from_json_dict)
 
 
-class FleetReducer(Reducer):
-    """Streams fleet units into a :class:`~repro.core.stats.SketchSet`.
-
-    ``consume`` observes the unit's single simulated run once *per
-    device riding it* — each device under its own sampling key — then
-    drops the reference; nothing per-run survives the call.
-    """
-
-    def __init__(self, spec: FleetSpec, units_total: int, population: dict):
-        self._spec = spec
-        self._units_total = units_total
-        self._population = population
-        self.sketches = SketchSet(FLEET_METRICS, capacity=spec.capacity)
-        self.devices_done = 0
-
-    def consume(self, unit: FleetUnit, run: RunResult) -> None:
-        for device_id in unit.device_ids:
-            self.sketches.observe(f"device:{device_id}", run)
-        self.devices_done += len(unit.device_ids)
-
-    def finish(self) -> FleetResult:
-        return FleetResult(
-            spec=self._spec.to_json_dict(),
-            spec_digest=self._spec.digest(),
-            devices=self._spec.devices,
-            units_total=self._units_total,
-            devices_done=self.devices_done,
-            population=self._population,
-            sketches=self.sketches,
-        )
-
-
 #: Fleet progress callback, unit-keyed (mirrors SweepProgress).
 FleetProgress = Callable[[FleetUnit, "float | None", RunResult], None]
 
@@ -474,8 +442,8 @@ class ProgressMeter:
     completion rate, and a naive remaining-time estimate.
 
     Callback-compatible with :data:`FleetProgress`/``SweepProgress``;
-    invocations arrive serialised (the runner's record lock), so no
-    locking here.  An injectable clock and writer keep it testable.
+    invocations arrive one at a time on the thread that runs the batch,
+    so no locking here.  An injectable clock and writer keep it testable.
     """
 
     def __init__(
@@ -537,9 +505,8 @@ def run_fleet(
     *make_progress*, given the number of units this run owns, returns
     the per-unit progress callback (e.g. a :class:`ProgressMeter`), so
     a meter is sized from this one plan.  Units stream through
-    :func:`~repro.core.runner.execute_with_cache` with retention off and
-    fold into sketches as they complete — per-device results are never
-    held.
+    :func:`~repro.core.runner.execute_with_cache` and fold into sketches
+    as they complete — per-device results are never held.
     """
     from repro.core.backends import SerialBackend
 
@@ -553,15 +520,26 @@ def run_fleet(
     if shard is not None:
         owned = list(shard_ids(units, *shard))
 
-    reducer = FleetReducer(spec, units_total=len(units), population=population)
-    execute_with_cache(
-        backend,
-        cache,
-        [(unit.bench_id, unit.config) for unit in owned],
-        labels=[unit.label for unit in owned],
-        units=owned,
-        progress=make_progress(len(owned)) if make_progress else None,
-        reducer=reducer,
-        retain_results=False,
+    sketches = SketchSet(FLEET_METRICS, capacity=spec.capacity)
+    progress = make_progress(len(owned)) if make_progress else None
+
+    def on_done(
+        unit: FleetUnit, elapsed: "float | None", run: RunResult
+    ) -> None:
+        # One simulated run, observed once per device riding the unit,
+        # each under its own sampling key; the run is not kept.
+        for device_id in unit.device_ids:
+            sketches.observe(f"device:{device_id}", run)
+        if progress is not None:
+            progress(unit, elapsed, run)
+
+    execute_with_cache(backend, cache, owned, on_done)
+    return FleetResult(
+        spec=spec.to_json_dict(),
+        spec_digest=spec.digest(),
+        devices=spec.devices,
+        units_total=len(units),
+        devices_done=sum(len(unit.device_ids) for unit in owned),
+        population=population,
+        sketches=sketches,
     )
-    return reducer.finish()

@@ -18,11 +18,10 @@ cache lookups, and delegation to an
 
 from __future__ import annotations
 
-import threading
 import warnings
 import zlib
-from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from dataclasses import asdict, dataclass, fields, replace
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 from repro.android.app import start_activity
 from repro.android.boot import boot_android
@@ -77,10 +76,20 @@ class RunConfig:
     def __post_init__(self) -> None:
         """Reject, as a :class:`ConfigError` naming the field, a config
         that would run as a silent wrong answer or die mid-simulation: a
-        zero/negative window, a negative settle, cpus below one, a
+        value of the wrong type (by the rules the JSON decoder applies),
+        a zero/negative window, a negative settle, cpus below one, a
         ``cpu_profile`` that does not parse or describes another core
         count, or a throttle naming a CPU the machine lacks (it would
         run as a silent no-op)."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, cls in (("calibration", Calibration), ("faults", FaultPlan)):
+            value = values.pop(name)
+            if value is not None and not isinstance(value, cls):
+                raise ConfigError(
+                    f"config field {name} must be a {cls.__name__} or "
+                    f"None, got {value!r}"
+                )
+        check_fields(values, RunConfig, "config")
         if self.duration_ticks < 1:
             raise ConfigError(
                 f"duration_ticks must be >= 1, got {self.duration_ticks}"
@@ -310,105 +319,77 @@ def dedup_ids(ids: Iterable[str]) -> list[str]:
     return out
 
 
-class Reducer:
-    """Consumes completed runs as they arrive off the execution stream.
+@dataclass(frozen=True)
+class SuiteUnit:
+    """One benchmark of a suite batch, as :func:`execute_with_cache`
+    takes it (sweep points and fleet units carry the same fields)."""
 
-    The aggregation half of :func:`execute_with_cache`: ``consume`` is
-    invoked once per unit — cache hits and fresh completions alike, in
-    arrival order, serialised under the orchestration lock — and
-    ``finish`` returns whatever the reduction produced.  A reducer that
-    only keeps summaries (see :class:`~repro.core.stats.SketchSet`)
-    gives the whole pipeline O(metrics) aggregation memory; the
-    materialising :class:`~repro.core.sweep.SweepResult` path is just
-    another reducer.
-    """
+    bench_id: str
+    config: RunConfig
 
-    def consume(self, unit: object, run: RunResult) -> None:
-        raise NotImplementedError
+    @property
+    def label(self) -> str:
+        """The name a shortfall error prints: the bench id."""
+        return self.bench_id
 
-    def finish(self) -> object:
-        raise NotImplementedError
+
+_Unit = TypeVar("_Unit")
 
 
 def execute_with_cache(
     backend: "ExecutionBackend",
     cache: ResultCache | None,
-    items: "Sequence[tuple[str, RunConfig]]",
-    labels: Sequence[str],
-    units: Sequence[object],
-    progress: "Callable[[object, float | None, RunResult], None] | None" = None,
-    reducer: Reducer | None = None,
-    retain_results: bool = True,
-) -> "list[RunResult] | None":
-    """Run a planned batch through *cache* then *backend*.
+    units: "Iterable[_Unit]",
+    on_done: "Callable[[_Unit, float | None, RunResult], None]",
+) -> None:
+    """Run *units* through *cache* then *backend*, reporting each once.
 
-    The one cache-aware batch orchestration the suite, sweep and fleet
-    runners all use: per-item cache lookup (hits reported through
-    *progress* with ``elapsed=None``), misses executed with completed
-    runs stored back, lost results raised as a
-    :class:`~repro.core.backends.BackendError` naming the matching
-    *labels*, and hit/miss counters flushed even on failure.  *units*
-    are what *progress* and *reducer* receive for each item (bench ids
-    for suites, :class:`~repro.core.sweep.SweepPoint` objects for
-    sweeps, fleet work units).  Returns one result per item, in item
-    order — unless *retain_results* is off, in which case results are
-    handed to the *reducer*/*progress* callbacks as they arrive and
-    **never retained** here (the streaming-reduction path: aggregation
-    memory stays O(metrics) however large the batch) and the return
-    value is ``None``.
+    The one way a completed run leaves :mod:`repro.core`: the suite,
+    sweep and fleet runners each fold results in their own *on_done*.
+    Each unit carries ``bench_id``, ``config`` and ``label``, and
+    ``on_done(unit, elapsed, run)`` fires exactly once per unit, on the
+    calling thread: with ``elapsed=None`` for a cache hit (no
+    simulation happened — never conflate that with a fast run), and
+    after the run is stored in *cache* for a fresh one.  Nothing is
+    returned or retained here, so a caller that folds results into
+    summaries aggregates in O(metrics) memory however large the batch.
 
-    The backend is fed lazily: the cache probe for each item happens as
-    the backend pulls it, so lookups for later units overlap simulations
-    already in flight, and cache writes run inside the backend's
-    completion handling (off the critical path for the pool).
-    Completion callbacks may be concurrent with the probing thread, so
-    result recording, *reducer* consumption and *progress* invocations
-    are serialised under a lock — results stay a pure function of
-    ``(bench_id, config)`` either way.
+    The backend pulls *units* lazily, so the cache probe for a later
+    unit overlaps simulations already in flight on the pool.  A unit
+    the backend never reports raises a
+    :class:`~repro.core.backends.BackendError` naming its label, and
+    the cache's hit/miss counters are flushed even on failure.
     """
-    results: "list[RunResult | None] | None" = (
-        [None] * len(items) if retain_results else None
-    )
-    done = bytearray(len(items))
-    pending: list[int] = []
-    lock = threading.Lock()
-
-    def record(index: int, elapsed: "float | None", run: RunResult) -> None:
-        """Account one completed unit (caller holds the lock)."""
-        done[index] = 1
-        if results is not None:
-            results[index] = run
-        if reducer is not None:
-            reducer.consume(units[index], run)
-        if progress is not None:
-            progress(units[index], elapsed, run)
+    # The units handed to the backend, in pull order, and whether each
+    # has been reported.
+    pending: list = []
+    reported = bytearray()
 
     def misses():
         """Probe lazily, yielding only the items the backend must run."""
-        for index, (bench_id, cfg) in enumerate(items):
-            hit = cache.get(bench_id, cfg) if cache is not None else None
+        for unit in units:
+            hit = None
+            if cache is not None:
+                hit = cache.get(unit.bench_id, unit.config)
             if hit is None:
-                pending.append(index)
-                yield bench_id, cfg
+                pending.append(unit)
+                reported.append(0)
+                yield unit.bench_id, unit.config
             else:
-                with lock:
-                    record(index, None, hit)
+                on_done(unit, None, hit)
 
-    def on_result(batch_index: int, elapsed: float, run: RunResult) -> None:
-        index = pending[batch_index]
-        # The cache write happens outside the lock: each key is written
-        # at most once per batch, so puts only ever race the probes of
-        # *other* keys, and keeping file I/O out of the critical section
-        # is the point of the overlapped path.
+    def on_result(index: int, elapsed: float, run: RunResult) -> None:
+        unit = pending[index]
         if cache is not None:
-            bench_id, cfg = items[index]
-            cache.put(bench_id, cfg, run)
-        with lock:
-            record(index, elapsed, run)
+            cache.put(unit.bench_id, unit.config, run)
+        reported[index] = 1
+        on_done(unit, elapsed, run)
 
     try:
         backend.execute_stream(misses(), on_result)
-        missing = [labels[index] for index in pending if not done[index]]
+        missing = [
+            unit.label for unit, done in zip(pending, reported) if not done
+        ]
         if missing:
             raise shortfall_error(backend, missing, len(pending))
     finally:
@@ -416,7 +397,6 @@ def execute_with_cache(
         # hits already served this session happened either way.
         if cache is not None:
             cache.flush_stats()
-    return results
 
 
 class SuiteRunner:
@@ -472,16 +452,20 @@ class SuiteRunner:
         if self.shard is not None:
             wanted = list(shard_ids(wanted, *self.shard))
 
-        results = execute_with_cache(
+        runs: dict[str, RunResult] = {}
+
+        def on_done(
+            unit: SuiteUnit, elapsed: "float | None", run: RunResult
+        ) -> None:
+            runs[unit.bench_id] = run
+            if progress is not None:
+                progress(unit.bench_id, elapsed, run)
+
+        execute_with_cache(
             self.backend,
             self.cache,
-            [(bench_id, cfg) for bench_id in wanted],
-            labels=wanted,
-            units=wanted,
-            progress=progress,
+            [SuiteUnit(bench_id, cfg) for bench_id in wanted],
+            on_done,
         )
-
-        out = SuiteResult()
-        for result in results:
-            out.add(result)
-        return out
+        # Runs arrive in completion order; the suite keeps batch order.
+        return SuiteResult({bench_id: runs[bench_id] for bench_id in wanted})

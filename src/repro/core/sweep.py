@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.calibration import (
     CAL_PRESETS,
@@ -34,7 +34,7 @@ from repro.core.results import (
     dump_streamed,
     load_json_file,
 )
-from repro.core.runner import Reducer, RunConfig, dedup_ids, execute_with_cache
+from repro.core.runner import RunConfig, dedup_ids, execute_with_cache
 from repro.core.suite import get_benchmark
 from repro.errors import AnalysisError, ConfigError
 from repro.faults.plan import fault_plan
@@ -507,56 +507,6 @@ class SweepResult:
 SweepProgress = Callable[[SweepPoint, "float | None", RunResult], None]
 
 
-class MaterializingReducer(Reducer):
-    """The reducer that rebuilds today's :class:`SweepResult`.
-
-    Materialisation is just one reduction among several: this one keeps
-    every cell (so it is O(grid) memory, exactly as before the reducer
-    seam existed), while a fleet's :class:`~repro.core.stats.SketchSet`
-    reduction keeps O(metrics).  Cells arrive in completion order —
-    cache hits first, or an async pool racing ahead — and :meth:`finish`
-    re-emits them in canonical grid order, so the resulting JSON is
-    byte-identical to the historical non-streamed output whatever order
-    execution took.
-    """
-
-    def __init__(
-        self,
-        spec: SweepSpec,
-        variants: "list[tuple[str, dict[str, object], RunConfig]]",
-        points: "Sequence[SweepPoint]",
-        owned: "Sequence[SweepPoint]",
-    ) -> None:
-        self._spec = spec
-        self._variants = variants
-        self._points = points
-        self._owned = owned
-        self._runs: "dict[tuple[str, str], RunResult]" = {}
-
-    def consume(self, unit: SweepPoint, run: RunResult) -> None:
-        self._runs[(unit.bench_id, unit.variant)] = run
-
-    def finish(self) -> SweepResult:
-        out = SweepResult(
-            axes={
-                axis.name: list(axis.values) for axis in self._spec.axes
-            },
-            variant_values={
-                label: dict(values) for label, values, _ in self._variants
-            },
-            bench_ids=list(
-                dict.fromkeys(p.bench_id for p in self._points)
-            ),
-        )
-        for point in self._owned:
-            out.add(
-                point.bench_id,
-                point.variant,
-                self._runs[(point.bench_id, point.variant)],
-            )
-        return out
-
-
 class SweepRunner:
     """Expands a :class:`SweepSpec` and executes it as one flat batch.
 
@@ -569,13 +519,12 @@ class SweepRunner:
     grid lazily, so per-point cache lookups and result writes overlap
     points still simulating — without changing the result bytes.
 
-    The run is three separable stages — :meth:`plan` (grid expansion and
-    shard ownership), :meth:`execute` (cache-aware execution feeding
-    an optional streaming :class:`~repro.core.runner.Reducer`), and
-    reduction (the reducer's ``finish``).  :meth:`run` wires them with a
-    :class:`MaterializingReducer` for the classic full-grid result;
-    :meth:`run_reduced` wires any other reducer with per-run retention
-    off, which is the fleet-scale O(metrics) path.
+    :meth:`plan` expands the grid and settles shard ownership;
+    :meth:`run` streams the owned points through
+    :func:`~repro.core.runner.execute_with_cache` and folds each result
+    into a :class:`SweepResult` as it arrives.  A caller that wants
+    another reduction passes the planned points to ``execute_with_cache``
+    with its own callback.
     """
 
     def __init__(
@@ -589,9 +538,6 @@ class SweepRunner:
         self.backend = backend if backend is not None else SerialBackend()
         self.cache = cache
         self.shard = shard
-
-    # ------------------------------------------------------------------
-    # Stage 1: plan
 
     def plan(
         self, spec: SweepSpec
@@ -610,62 +556,37 @@ class SweepRunner:
             owned = list(shard_ids(points, *self.shard))
         return variants, points, owned
 
-    # ------------------------------------------------------------------
-    # Stage 2: execute
-
-    def execute(
-        self,
-        owned: "Sequence[SweepPoint]",
-        progress: SweepProgress | None = None,
-        reducer: Reducer | None = None,
-        retain_results: bool = True,
-    ) -> "list[RunResult] | None":
-        """Execute owned points (cache hits skip simulation).
-
-        Returns one result per point in *owned* order.  Progress and
-        reducer callbacks fire as units complete.  With *retain_results*
-        off, returns ``None`` and holds no reference to any result once
-        the reducer has consumed it.
-        """
-        return execute_with_cache(
-            self.backend,
-            self.cache,
-            [(point.bench_id, point.config) for point in owned],
-            labels=[point.label for point in owned],
-            units=owned,
-            progress=progress,
-            reducer=reducer,
-            retain_results=retain_results,
-        )
-
-    # ------------------------------------------------------------------
-    # Stage 3: reduce (wired end-to-end)
-
     def run(
         self, spec: SweepSpec, progress: SweepProgress | None = None
     ) -> SweepResult:
-        """Execute every grid cell into a materialised :class:`SweepResult`."""
-        variants, points, owned = self.plan(spec)
-        reducer = MaterializingReducer(spec, variants, points, owned)
-        self.execute(
-            owned, progress=progress, reducer=reducer, retain_results=False
-        )
-        return reducer.finish()
+        """Execute every owned grid cell into a :class:`SweepResult`.
 
-    def run_reduced(
-        self,
-        spec: SweepSpec,
-        reducer: Reducer,
-        progress: SweepProgress | None = None,
-    ):
-        """Execute the grid through *reducer* without materialising.
-
-        The streaming-aggregation path: no :class:`SweepResult`, no
-        per-cell retention — whatever the reducer's ``finish`` returns
-        is the run's entire output.
+        Cells arrive in completion order (cache hits first, or a pool
+        racing ahead); the result lists them in canonical grid order,
+        so its bytes do not depend on the order execution took.
         """
-        _variants, _points, owned = self.plan(spec)
-        self.execute(
-            owned, progress=progress, reducer=reducer, retain_results=False
+        variants, points, owned = self.plan(spec)
+        runs: "dict[tuple[str, str], RunResult]" = {}
+
+        def on_done(
+            point: SweepPoint, elapsed: "float | None", run: RunResult
+        ) -> None:
+            runs[(point.bench_id, point.variant)] = run
+            if progress is not None:
+                progress(point, elapsed, run)
+
+        execute_with_cache(self.backend, self.cache, owned, on_done)
+        out = SweepResult(
+            axes={axis.name: list(axis.values) for axis in spec.axes},
+            variant_values={
+                label: dict(values) for label, values, _ in variants
+            },
+            bench_ids=list(dict.fromkeys(p.bench_id for p in points)),
         )
-        return reducer.finish()
+        for point in owned:
+            out.add(
+                point.bench_id,
+                point.variant,
+                runs[(point.bench_id, point.variant)],
+            )
+        return out

@@ -175,24 +175,3 @@ class MemProfiler:
     def total_refs(self) -> int:
         """Instruction reads plus data references."""
         return self.total_instr + self.total_data
-
-    def instruction_region_count(self) -> int:
-        """Distinct regions that served instruction fetches."""
-        return len(self.instr_by_region)
-
-    def data_region_count(self) -> int:
-        """Distinct regions that served data references."""
-        return len(self.data_by_region)
-
-    def snapshot(self) -> dict[str, dict]:
-        """Plain-dict copy of every counter (JSON-friendly keys applied
-        later by :mod:`repro.core.results`)."""
-        return {
-            "instr_by_region": self.instr_by_region,
-            "data_by_region": self.data_by_region,
-            "instr_by_proc": self.instr_by_proc,
-            "data_by_proc": self.data_by_proc,
-            "refs_by_thread": self.refs_by_thread,
-            "instr_by_proc_region": self.instr_by_proc_region,
-            "data_by_proc_region": self.data_by_proc_region,
-        }

@@ -448,16 +448,16 @@ class TestProgressOrdering:
         assert [results[i].bench_id for i in range(3)] == [b for b, _ in items]
         assert results[2].duration_ticks == FAST.scaled(0.5).duration_ticks
 
-    def test_pool_completions_run_off_the_calling_thread(self):
-        """The overlap mechanism itself: on_result runs on the completion
-        thread, not the thread that called execute_stream."""
+    def test_pool_completions_run_on_the_calling_thread(self):
+        """The pool reports every completion on the thread that called
+        execute_stream, so callbacks need no locks."""
         caller = threading.get_ident()
         threads = set()
         AsyncBackend(jobs=2).execute_stream(
             iter([("countdown.main", FAST), ("999.specrand", FAST)]),
             lambda i, secs, res: threads.add(threading.get_ident()),
         )
-        assert threads and caller not in threads
+        assert threads == {caller}
 
     def test_pool_warm_hits_report_none_elapsed(self, tmp_path):
         """Cache hits keep the elapsed=None convention even when misses
@@ -512,8 +512,8 @@ class TestStreamingOverlap:
         ]
 
     def test_pool_stores_every_miss_once(self, tmp_path):
-        """On the pool, stores run on the completion thread in completion
-        order; each miss is still probed once and stored once."""
+        """On the pool, stores run in completion order; each miss is
+        still probed once and stored once."""
         cache = RecordingCache(str(tmp_path / "cache"))
         SuiteRunner(FAST, backend=AsyncBackend(jobs=2), cache=cache).run_suite(
             SUITE_IDS

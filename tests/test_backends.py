@@ -37,6 +37,7 @@ from repro.core import (
     shard_ids,
 )
 from repro.core.backends.async_ import INFLIGHT_PER_JOB
+from repro.core.runner import SuiteUnit, execute_with_cache
 from repro.errors import ConfigError, WorkloadError
 from repro.sim.ticks import millis
 
@@ -236,6 +237,44 @@ class TestAsyncBackend:
         # The bounded window plus the failure stop keep most of the tail
         # from ever being submitted.
         assert len(backend.executed) < tail
+
+    @pytest.mark.parametrize("failing", ("on_done", "cache_put"))
+    def test_failing_callback_propagates_and_stops_the_stream(
+        self, tmp_path, failing
+    ):
+        """A completion callback that raises on its second call — the
+        caller's ``on_done`` or the cache write before it — ends the
+        batch with that very exception, leaves most of the stream
+        unsimulated, and leaves no worker process behind."""
+        error = OSError("disk full")
+        calls = 0
+
+        def second_call_fails(*args) -> None:
+            nonlocal calls
+            calls += 1
+            if calls == 2:
+                raise error
+
+        class FailingCache(ResultCache):
+            def put(self, bench_id, cfg, result):
+                second_call_fails()
+                super().put(bench_id, cfg, result)
+
+        cache = None
+        if failing == "cache_put":
+            cache = FailingCache(str(tmp_path))
+        on_done = second_call_fails if cache is None else (lambda *a: None)
+        units = [
+            SuiteUnit("countdown.main", RunConfig(
+                duration_ticks=millis(50), settle_ticks=millis(50), seed=seed))
+            for seed in range(2 * INFLIGHT_PER_JOB + 4)
+        ]
+        backend = AsyncBackend(jobs=2)
+        with pytest.raises(OSError) as raised:
+            execute_with_cache(backend, cache, units, on_done)
+        assert raised.value is error
+        assert len(backend.executed) < len(units)
+        assert multiprocessing.active_children() == []
 
     def test_executed_tracks_only_real_simulations(self, tmp_path):
         SuiteRunner(QUICK_CONFIG, cache=ResultCache(str(tmp_path))).run_suite(

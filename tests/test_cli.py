@@ -96,11 +96,15 @@ def test_malformed_results_file_is_a_clean_error(tmp_path, capsys, argv):
     ["--duration", "0"],
     ["--duration", "-1"],
     ["--settle-ms", "-5"],
-), ids=("zero-window", "negative-window", "negative-settle"))
+    ["--duration", "nan"],
+), ids=("zero-window", "negative-window", "negative-settle", "nan-window"))
 def test_out_of_range_window_is_a_clean_error(capsys, flags):
     """``--duration 0`` used to print "0 references" and exit 0, and a
-    negative settle ran with it in its cache key; both are config errors."""
+    negative settle ran with it in its cache key, and ``--duration nan``
+    ended in a ValueError traceback; all are config errors that name the
+    flag typed, not the config field in ticks."""
     assert main([*flags, "run", "countdown.main"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "must be >=" in captured.err
+    assert flags[0] in captured.err and "_ticks" not in captured.err
     assert "references" not in captured.out

@@ -21,7 +21,6 @@ from repro.core import (
     FleetResult,
     FleetSpec,
     ProgressMeter,
-    Reducer,
     ResultCache,
     RunConfig,
     SerialBackend,
@@ -187,22 +186,23 @@ class TestFleetExecution:
 
 
 # ----------------------------------------------------------------------
-# (c) Differential: streaming reducer vs materialised SweepResult
+# (c) Differential: a streaming fold vs the materialised SweepResult
 
 
-class _SketchingReducer(Reducer):
-    """Reduces sweep points into sketches, unit-keyed by cell label."""
-
-    def __init__(self) -> None:
-        self.sketches = SketchSet(
-            {"total_refs": lambda run: float(run.total_refs)}, capacity=64
-        )
-
-    def consume(self, unit, run) -> None:
-        self.sketches.observe(unit.label, run)
-
-    def finish(self) -> SketchSet:
-        return self.sketches
+def _sketch_sweep(runner: SweepRunner) -> SketchSet:
+    """Fold the runner's planned points into sketches through the one
+    completion callback, unit-keyed by cell label."""
+    sketches = SketchSet(
+        {"total_refs": lambda run: float(run.total_refs)}, capacity=64
+    )
+    _variants, _points, owned = runner.plan(_sweep_spec())
+    execute_with_cache(
+        runner.backend,
+        runner.cache,
+        owned,
+        lambda point, elapsed, run: sketches.observe(point.label, run),
+    )
+    return sketches
 
 
 def _sweep_spec() -> SweepSpec:
@@ -236,18 +236,12 @@ class TestStreamingVsMaterialized:
     def test_reducer_matches_materialized(
         self, materialized, make_backend_under_test
     ):
-        runner = SweepRunner(make_backend_under_test())
-        sketches = runner.run_reduced(_sweep_spec(), _SketchingReducer())
+        sketches = _sketch_sweep(SweepRunner(make_backend_under_test()))
         assert json.dumps(sketches.to_json_dict(), sort_keys=True) == \
             json.dumps(_sketch_of(materialized).to_json_dict(), sort_keys=True)
 
     def test_sharded_reducers_merge_to_materialized(self, materialized):
-        parts = [
-            SweepRunner(shard=(k, 2)).run_reduced(
-                _sweep_spec(), _SketchingReducer()
-            )
-            for k in (1, 2)
-        ]
+        parts = [_sketch_sweep(SweepRunner(shard=(k, 2))) for k in (1, 2)]
         parts[0].merge(parts[1])
         assert json.dumps(parts[0].to_json_dict(), sort_keys=True) == \
             json.dumps(_sketch_of(materialized).to_json_dict(), sort_keys=True)
@@ -255,38 +249,14 @@ class TestStreamingVsMaterialized:
     def test_reducer_matches_on_warm_cache(self, materialized, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         SweepRunner(SerialBackend(), cache=cache).run(_sweep_spec())
-        sketches = SweepRunner(SerialBackend(), cache=cache).run_reduced(
-            _sweep_spec(), _SketchingReducer()
-        )
+        sketches = _sketch_sweep(SweepRunner(SerialBackend(), cache=cache))
         assert cache.stats().hits > 0
         assert json.dumps(sketches.to_json_dict(), sort_keys=True) == \
             json.dumps(_sketch_of(materialized).to_json_dict(), sort_keys=True)
 
-    def test_materializing_run_unchanged_by_stage_split(self, materialized):
-        # plan → execute(retain) must equal the reducer-built result.
-        runner = SweepRunner(SerialBackend())
-        _variants, _points, owned = runner.plan(_sweep_spec())
-        results = runner.execute(owned)
-        assert [r.total_refs for r in results] == [
-            run.total_refs for run in materialized.runs.values()
-        ]
-
 
 # ----------------------------------------------------------------------
 # (d) O(metrics) memory: nothing per-run survives the stream
-
-
-class _LeakCheckReducer(Reducer):
-    """Counts consumed runs and keeps only weak references to them."""
-
-    def __init__(self) -> None:
-        self.refs: "list[weakref.ref]" = []
-
-    def consume(self, unit, run) -> None:
-        self.refs.append(weakref.ref(run))
-
-    def finish(self) -> int:
-        return len(self.refs)
 
 
 @pytest.mark.parametrize(
@@ -302,20 +272,18 @@ def test_no_retention_path_holds_no_results(make_backend_under_test):
         base=FAST,
     )
     units = spec.units()
-    reducer = _LeakCheckReducer()
+    # The callback keeps only weak references to the runs it is handed.
+    refs: "list[weakref.ref]" = []
     returned = execute_with_cache(
         make_backend_under_test(),
         None,
-        [(u.bench_id, u.config) for u in units],
-        labels=[u.label for u in units],
-        units=units,
-        reducer=reducer,
-        retain_results=False,
+        units,
+        lambda unit, elapsed, run: refs.append(weakref.ref(run)),
     )
     assert returned is None
-    assert reducer.finish() == len(units)
+    assert len(refs) == len(units)
     gc.collect()
-    assert all(ref() is None for ref in reducer.refs)
+    assert all(ref() is None for ref in refs)
 
 
 # ----------------------------------------------------------------------

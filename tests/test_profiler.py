@@ -90,8 +90,8 @@ def test_region_counts():
     prof = MemProfiler()
     prof.charge(task, ExecBlock(code.start, 1, ((data.start, 1),)))
     prof.charge(task, ExecBlock(KERNEL_BASE + 4, 1))
-    assert prof.instruction_region_count() == 2
-    assert prof.data_region_count() == 1
+    assert len(prof.instr_by_region) == 2
+    assert len(prof.data_by_region) == 1
 
 
 def test_unmapped_address_raises():
@@ -104,12 +104,12 @@ def test_unmapped_address_raises():
 
 
 def test_snapshot_is_plain_dicts():
+    """The projections the results layer encodes are plain dicts."""
     task, code, data = make_user_task()
     prof = MemProfiler()
     prof.charge(task, ExecBlock(code.start, 2, ((data.start, 2),)))
-    snap = prof.snapshot()
-    assert snap["instr_by_region"]["libfoo.so"] == 2
-    assert isinstance(snap["refs_by_thread"], dict)
+    assert prof.instr_by_region["libfoo.so"] == 2
+    assert isinstance(prof.refs_by_thread, dict)
 
 
 # ---------------------------------------------------------------------------

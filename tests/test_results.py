@@ -151,14 +151,19 @@ def test_run_config_from_json_rejects_degenerate_windows():
     ({"cpus": 0}, "cpus"),
     ({"cpus": 2, "cpu_profile": "2+2"}, "cpu_profile"),
     ({"cpus": 4, "cpu_profile": "banana"}, "cpu profile"),
+    ({"duration_ticks": "1"}, "duration_ticks"),
+    ({"cpus": 2.5}, "cpus"),
 ), ids=("zero-window", "negative-window", "negative-settle", "no-cpus",
-        "profile-mismatch", "profile-unparsed"))
+        "profile-mismatch", "profile-unparsed", "string-window",
+        "fractional-cpus"))
 def test_run_config_rejects_out_of_range_values_when_built_directly(
         kwargs, field):
-    """The range checks hold for every RunConfig, not only decoded ones:
-    a zero window used to run and report 0 references, a negative settle
-    ran with it in its cache key, and a cpus/profile mismatch died at run
-    time with a bare ValueError from System."""
+    """The range and type checks hold for every RunConfig, not only
+    decoded ones: a zero window used to run and report 0 references, a
+    negative settle ran with it in its cache key, a cpus/profile
+    mismatch died at run time with a bare ValueError from System, a
+    string window raised a bare TypeError, and fractional cpus built a
+    config that died in System."""
     with pytest.raises(ConfigError) as exc:
         RunConfig(**kwargs)
     assert field in str(exc.value)
