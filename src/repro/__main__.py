@@ -15,8 +15,7 @@ Usage (installed as ``agave-repro`` or ``python -m repro``)::
     python -m repro claims --cache .agave-cache
     python -m repro --cpus 4 smp --cache .agave-cache
     python -m repro cache stats .agave-cache
-    python -m repro cache gc .agave-cache --max-bytes 50000000 --dry-run
-    python -m repro cache gc .agave-cache --max-entries 100
+    python -m repro cache gc .agave-cache --max-bytes 50000000
     python -m repro sweep --axis duration=0.5,1,2
     python -m repro sweep --axis cal.preset=baseline,lowend,highend
     python -m repro --faults chaos run vlc.mp4.view
@@ -390,8 +389,6 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
     print(f"cache:   {cache.root}")
     print(f"entries: {stats.entries}")
     print(f"bytes:   {stats.total_bytes:,}")
-    print(f"hits:    {stats.hits}")
-    print(f"misses:  {stats.misses}")
     return 0
 
 
@@ -400,17 +397,10 @@ def cmd_cache_gc(args: argparse.Namespace) -> int:
     # directory and report a successful no-op.
     if not os.path.isdir(args.dir):
         raise ConfigError(f"no cache directory at {args.dir!r}")
-    if args.max_bytes is None and args.max_age is None \
-            and args.max_entries is None:
-        raise ConfigError(
-            "cache gc needs --max-bytes, --max-age and/or --max-entries"
-        )
     cache = ResultCache(args.dir)
-    report = cache.gc(max_bytes=args.max_bytes, max_age=args.max_age,
-                      max_entries=args.max_entries, dry_run=args.dry_run)
-    verb = "would evict" if args.dry_run else "evicted"
+    report = cache.gc(args.max_bytes)
     print(f"cache:   {cache.root}")
-    print(f"{verb}: {report.removed_entries} entries "
+    print(f"evicted: {report.removed_entries} entries "
           f"({report.removed_bytes:,} bytes)")
     print(f"kept:    {report.kept_entries} entries "
           f"({report.kept_bytes:,} bytes)")
@@ -575,24 +565,20 @@ def make_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser("cache", help="result-cache maintenance")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_stats = cache_sub.add_parser(
-        "stats", help="show hits/misses/entries/bytes for a cache directory"
+        "stats", help="show the entries and bytes of a cache directory"
     )
     p_stats.add_argument("dir", metavar="DIR",
                          help="cache directory (as passed to --cache)")
     p_stats.set_defaults(func=cmd_cache_stats)
     p_gc = cache_sub.add_parser(
-        "gc", help="evict cached runs oldest-first to fit size/age bounds"
+        "gc", help="evict cached runs, least recently used first, to fit "
+                   "a size budget"
     )
     p_gc.add_argument("dir", metavar="DIR",
                       help="cache directory (as passed to --cache)")
-    p_gc.add_argument("--max-bytes", type=int, metavar="N",
-                      help="evict oldest entries until the cache fits N bytes")
-    p_gc.add_argument("--max-age", type=float, metavar="SECONDS",
-                      help="evict entries last written more than SECONDS ago")
-    p_gc.add_argument("--max-entries", type=int, metavar="N",
-                      help="evict oldest entries until at most N remain")
-    p_gc.add_argument("--dry-run", action="store_true",
-                      help="report what would be evicted without deleting")
+    p_gc.add_argument("--max-bytes", type=int, metavar="N", required=True,
+                      help="evict the least recently written or hit "
+                           "entries until the cache fits N bytes")
     p_gc.set_defaults(func=cmd_cache_gc)
 
     for name, func, extra in (

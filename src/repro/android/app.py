@@ -70,7 +70,6 @@ class AsyncTaskPool:
         self.queue: deque[Callable[["Task"], Iterator[Op]]] = deque()
         self.waitq = app.stack.system.kernel.new_waitq(f"asynctask:{app.proc.comm}")
         self.threads: list["Task"] = []
-        self.tasks_run = 0
 
     def submit(self, work: Callable[["Task"], Iterator[Op]]) -> None:
         """Queue background work, growing the pool on demand."""
@@ -94,7 +93,6 @@ class AsyncTaskPool:
                 continue
             work = self.queue.popleft()
             yield from work(task)
-            self.tasks_run += 1
 
 
 class AndroidApp:

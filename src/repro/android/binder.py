@@ -58,7 +58,6 @@ class BinderHost:
         self.waitq = kernel.new_waitq(f"binder:{proc.comm}")
         self.handlers: dict[str, Handler] = {}
         self.threads: list[Task] = []
-        self.transactions_served = 0
         regions.ensure_binder_mapping(proc)
         for i in range(nthreads):
             task = kernel.spawn_thread(
@@ -94,7 +93,6 @@ class BinderHost:
                     # stack absorbs the loss — no handler, empty reply.
                     yield kernel_exec("binder_txn_fail", 900, 110)
                     txn.completed = True
-                    self.transactions_served += 1
                     if not txn.oneway and txn.reply_q is not None:
                         txn.reply_q.wake_all()
                     continue
@@ -115,7 +113,6 @@ class BinderHost:
             yield from handler(txn)
             yield from framework_veneer(proc, nlibs=4, insts_each=120)
             txn.completed = True
-            self.transactions_served += 1
             if not txn.oneway and txn.reply_q is not None:
                 yield kernel_exec("binder_txn_reply", 800, 90)
                 txn.reply_q.wake_all()

@@ -77,7 +77,6 @@ class Surface:
         yield sfc.call("surface_post")
         self.layer.dirty = True
         self.layer.frames_posted += 1
-        self.sf.frames_requested += 1
 
 
 class SurfaceFlinger:
@@ -95,8 +94,6 @@ class SurfaceFlinger:
         proc.add_region(LABEL_FB0, self.fb_vma)
         regions.ensure_mspace(proc)
         self.frames_composited = 0
-        self.frames_requested = 0
-        self.layers_created = 0
 
     # ------------------------------------------------------------------
 
@@ -113,7 +110,6 @@ class SurfaceFlinger:
         buf = self.allocator.allocate(client, name, width, height)
         layer = Layer(name=name, buffer=buf, z=z, overlay=overlay)
         self.layers[name] = layer
-        self.layers_created += 1
         return Surface(self, layer, client)
 
     def remove_surface(self, surface: Surface) -> None:

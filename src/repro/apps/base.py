@@ -9,8 +9,6 @@ parsing, installs).
 
 from __future__ import annotations
 
-import random
-import zlib
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import WorkloadError
@@ -47,7 +45,6 @@ class AgaveAppModel:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.rng = random.Random(seed ^ zlib.crc32(self.package.encode()) & 0xFFFFFF)
         self.files: dict[str, "File"] = {}
 
     # ------------------------------------------------------------------

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from repro.errors import CalibrationError, ConfigError
+from repro.jsonform import check_instance
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,12 @@ class Calibration:
     #: Kernel idle-loop intensity already lives in repro.sim.engine.
 
     def __post_init__(self) -> None:
-        """Every cost is a finite number >= 0 (zero is legal: it switches
-        the cost off) and the survivor ratio is at most 1.  A negative
-        cost would subtract work and an infinite one would overflow
-        mid-run, so both fail here, naming the field."""
+        """Every field has its annotated type, by the rules the JSON
+        decoder applies; every cost is a finite number >= 0 (zero is
+        legal: it switches the cost off) and the survivor ratio is at
+        most 1.  A negative cost would subtract work and an infinite one
+        would overflow mid-run, so both fail here, naming the field."""
+        check_instance(self, "calibration")
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value) or value < 0:

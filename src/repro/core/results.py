@@ -18,7 +18,6 @@ import json
 import os
 import re
 import threading
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
@@ -446,16 +445,12 @@ class GcReport:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """A snapshot of one cache directory's health."""
+    """A snapshot of one cache directory's size."""
 
     #: Stored run entries on disk.
     entries: int
     #: Total bytes those entries occupy.
     total_bytes: int
-    #: Lifetime hits (persisted across processes plus this session).
-    hits: int
-    #: Lifetime misses (persisted across processes plus this session).
-    misses: int
 
 
 class ResultCache:
@@ -466,6 +461,11 @@ class ResultCache:
     settle, seed, JIT flag, calibration override — changes the key, and
     bumping ``repro.__version__`` invalidates everything at once, since
     a model change can shift results without any config change.
+
+    The entry files are the cache's only state.  A hit refreshes its
+    entry's mtime, so an entry's mtime is its last write or hit, the
+    order :meth:`gc` evicts by.  The ``hits`` and ``misses`` attributes
+    count this instance's lookups only.
 
     Several processes, and several threads of one process, may share
     one directory: each writer writes its own ``*.tmp.<pid>.<tid>``
@@ -478,21 +478,11 @@ class ResultCache:
     re-simulation.
     """
 
-    #: Hit/miss counters persisted in the cache directory (underscore
-    #: prefix keeps it out of the entry namespace, which is pure hex).
-    STATS_FILE = "_stats.json"
-
     def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.hits = 0
         self.misses = 0
-        self._flushed_hits = 0
-        self._flushed_misses = 0
-        #: Entry name -> unix time of this session's latest hit (merged
-        #: into the stats file by :meth:`flush_stats`; GC prefers
-        #: evicting the least-recently-used entry among equal ages).
-        self._session_last_hits: dict[str, float] = {}
         self.sweep_stale_tmp()
 
     # ------------------------------------------------------------------
@@ -516,10 +506,12 @@ class ResultCache:
     def get(self, bench_id: str, cfg: "RunConfig") -> RunResult | None:
         """The stored run for this key, or ``None`` on a miss.
 
-        A corrupt entry (truncated write, bad UTF-8 or JSON, missing
-        fields) is deleted — not left in place to shadow the key
-        forever — and counted as a miss, so the subsequent :meth:`put`
-        heals the cache.
+        A hit refreshes the entry's mtime, marking it recently used for
+        :meth:`gc`; where that fails (a read-only directory) the hit is
+        served all the same.  A corrupt entry (truncated write, bad
+        UTF-8 or JSON, missing fields) is deleted — not left in place to
+        shadow the key forever — and counted as a miss, so the
+        subsequent :meth:`put` heals the cache.
         """
         path = self._path(bench_id, cfg)
         try:
@@ -539,7 +531,8 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        self._session_last_hits[os.path.basename(path)] = time.time()
+        with contextlib.suppress(OSError):
+            os.utime(path)
         return result
 
     def put(self, bench_id: str, cfg: "RunConfig", result: RunResult) -> None:
@@ -613,11 +606,10 @@ class ResultCache:
         A writer killed between the tmp write and the atomic rename
         leaves its tmp file behind forever; a tmp file whose pid is
         still a live process belongs to an in-flight :meth:`put` and is
-        left alone.  Only files matching the cache's own tmp naming
-        (hex entry key or the stats file, ``.json.tmp.`` then the pid
-        and an optional thread id) are candidates — anything else in
-        the directory is not ours to delete.  Returns the number of
-        files removed.
+        left alone.  Only files matching the cache's own tmp naming (a
+        hex entry key, ``.json.tmp.`` then the pid and an optional
+        thread id) are candidates — anything else in the directory is
+        not ours to delete.  Returns the number of files removed.
         """
         removed = 0
         for name in os.listdir(self.root):
@@ -629,79 +621,42 @@ class ResultCache:
                 removed += 1
         return removed
 
-    def gc(
-        self,
-        max_bytes: int | None = None,
-        max_age: float | None = None,
-        now: float | None = None,
-        max_entries: int | None = None,
-        dry_run: bool = False,
-    ) -> GcReport:
-        """Evict run entries oldest-first until the cache fits the bounds.
+    def gc(self, max_bytes: int) -> GcReport:
+        """Evict run entries, least recently used first, until the rest
+        fit in *max_bytes*.
 
-        *max_age* (seconds) drops every entry whose modification time is
-        older than ``now - max_age``; *max_entries* then evicts
-        oldest-first until at most that many survive; *max_bytes* last,
-        until the survivors fit the budget.  Eviction order is mtime
-        ascending, then — among entries of equal age — least recently
-        *used* first (per-entry last-hit timestamps from the stats file,
-        never-hit entries oldest of all), then the entry name, so
-        repeated passes evict deterministically and a warm entry
-        outlives a cold one written in the same batch.  Only run entries
-        (hex-keyed ``.json`` files) are candidates: the stats file
-        (hit/miss counters survive a GC pass), in-flight tmp files, and
-        foreign files parked in the directory are never touched.  An
-        entry whose unlink fails is reported as kept, and with every
-        bound ``None`` the pass is a no-op report.
-
-        *dry_run* reports what the same bounds *would* evict without
-        unlinking anything — the report reads exactly like a real pass.
+        Eviction runs in ``(mtime, name)`` order: an entry's mtime is
+        its last write or hit, and the name breaks ties, so repeated
+        passes evict deterministically.  Only run entries (hex-keyed
+        ``.json`` files) are candidates: in-flight tmp files and foreign
+        files parked in the directory are never touched.  An entry
+        whose unlink fails is reported as kept.
         """
-        last_hits = self._read_persisted_stats()["last_hit"]
-        last_hits.update(self._session_last_hits)
-        entries: list[tuple[float, float, str, int]] = []
+        entries: list[tuple[float, str, int]] = []
         for name in self._entry_names():
             try:
                 info = os.stat(os.path.join(self.root, name))
             except OSError:
                 continue
-            entries.append(
-                (info.st_mtime, last_hits.get(name, 0.0), name, info.st_size)
-            )
+            entries.append((info.st_mtime, name, info.st_size))
         entries.sort()
-        if now is None:
-            now = time.time()
 
-        doomed: list[tuple[float, float, str, int]] = []
-        kept = entries
-        if max_age is not None:
-            cutoff = now - max_age
-            doomed = [e for e in kept if e[0] < cutoff]
-            kept = [e for e in kept if e[0] >= cutoff]
-        if max_entries is not None:
-            while len(kept) > max(max_entries, 0):
-                doomed.append(kept.pop(0))
-        if max_bytes is not None:
-            kept_bytes = sum(size for *_, size in kept)
-            while kept and kept_bytes > max_bytes:
-                oldest = kept.pop(0)
-                doomed.append(oldest)
-                kept_bytes -= oldest[3]
-
+        excess = sum(size for *_, size in entries) - max_bytes
         removed_entries = removed_bytes = 0
-        survivors = list(kept)
-        for entry in doomed:
-            _, _, name, size = entry
-            if not dry_run:
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                except OSError:
-                    # Still on disk (permissions, concurrent replace):
-                    # report it as kept, so the caller sees the true
-                    # directory state.
-                    survivors.append(entry)
-                    continue
-                self._session_last_hits.pop(name, None)
+        survivors: list[tuple[float, str, int]] = []
+        for entry in entries:
+            _, name, size = entry
+            if excess <= 0:
+                survivors.append(entry)
+                continue
+            excess -= size
+            try:
+                os.unlink(os.path.join(self.root, name))
+            except OSError:
+                # Still on disk (permissions, concurrent replace): report
+                # it as kept, so the caller sees the true directory state.
+                survivors.append(entry)
+                continue
             removed_entries += 1
             removed_bytes += size
         return GcReport(
@@ -711,79 +666,23 @@ class ResultCache:
             kept_bytes=sum(size for *_, size in survivors),
         )
 
-    def flush_stats(self) -> None:
-        """Merge this session's hit/miss counters and per-entry last-hit
-        timestamps into the persisted stats file (atomic replace;
-        concurrent writers may undercount, never corrupt).
-
-        The last-hit map is pruned to entries still on disk so the
-        stats file cannot grow without bound as runs are evicted."""
-        new_hits = self.hits - self._flushed_hits
-        new_misses = self.misses - self._flushed_misses
-        if not new_hits and not new_misses:
-            return
-        persisted = self._read_persisted_stats()
-        last_hit = persisted["last_hit"]
-        last_hit.update(self._session_last_hits)
-        present = set(self._entry_names())
-        payload = {
-            "hits": persisted["hits"] + new_hits,
-            "misses": persisted["misses"] + new_misses,
-            "last_hit": {
-                name: ts for name, ts in last_hit.items() if name in present
-            },
-        }
-        path = os.path.join(self.root, self.STATS_FILE)
-        tmp = _tmp_path(path)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
-        os.replace(tmp, path)
-        self._flushed_hits = self.hits
-        self._flushed_misses = self.misses
-
-    def _read_persisted_stats(self) -> dict:
-        path = os.path.join(self.root, self.STATS_FILE)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            last_hit = {
-                str(name): float(ts)
-                for name, ts in raw.get("last_hit", {}).items()
-            }
-            return {
-                "hits": int(raw["hits"]),
-                "misses": int(raw["misses"]),
-                "last_hit": last_hit,
-            }
-        except (FileNotFoundError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError, AttributeError):
-            return {"hits": 0, "misses": 0, "last_hit": {}}
-
     def stats(self) -> CacheStats:
-        """Entries/bytes on disk plus lifetime hit/miss counters."""
+        """The entries on disk and the bytes they occupy."""
         total_bytes = 0
         entries = self._entry_names()
         for name in entries:
             with contextlib.suppress(OSError):
                 total_bytes += os.path.getsize(os.path.join(self.root, name))
-        persisted = self._read_persisted_stats()
-        return CacheStats(
-            entries=len(entries),
-            total_bytes=total_bytes,
-            hits=persisted["hits"] + self.hits - self._flushed_hits,
-            misses=persisted["misses"] + self.misses - self._flushed_misses,
-        )
+        return CacheStats(entries=len(entries), total_bytes=total_bytes)
 
 
 #: A stored run entry this cache owns: a 64-hex-digit key plus ``.json``.
 _ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
-#: In-flight write droppings this cache may own: a hex entry key or the
-#: stats file, then ``.json.tmp.<pid>.<tid>`` (or ``.json.tmp.<pid>``,
-#: the form older writers used).
-_TMP_NAME = re.compile(
-    r"(?:[0-9a-f]{64}|_stats)\.json\.tmp\.(\d+)(?:\.\d+)?"
-)
+#: In-flight write droppings this cache may own: a hex entry key, then
+#: ``.json.tmp.<pid>.<tid>`` (or ``.json.tmp.<pid>``, the form older
+#: writers used).
+_TMP_NAME = re.compile(r"[0-9a-f]{64}\.json\.tmp\.(\d+)(?:\.\d+)?")
 
 
 def _tmp_path(path: str) -> str:

@@ -357,8 +357,7 @@ def execute_with_cache(
     The backend pulls *units* lazily, so the cache probe for a later
     unit overlaps simulations already in flight on the pool.  A unit
     the backend never reports raises a
-    :class:`~repro.core.backends.BackendError` naming its label, and
-    the cache's hit/miss counters are flushed even on failure.
+    :class:`~repro.core.backends.BackendError` naming its label.
     """
     # The units handed to the backend, in pull order, and whether each
     # has been reported.
@@ -385,18 +384,10 @@ def execute_with_cache(
         reported[index] = 1
         on_done(unit, elapsed, run)
 
-    try:
-        backend.execute_stream(misses(), on_result)
-        missing = [
-            unit.label for unit, done in zip(pending, reported) if not done
-        ]
-        if missing:
-            raise shortfall_error(backend, missing, len(pending))
-    finally:
-        # Persist hit/miss counters even when the backend fails: the
-        # hits already served this session happened either way.
-        if cache is not None:
-            cache.flush_stats()
+    backend.execute_stream(misses(), on_result)
+    missing = [unit.label for unit, done in zip(pending, reported) if not done]
+    if missing:
+        raise shortfall_error(backend, missing, len(pending))
 
 
 class SuiteRunner:

@@ -104,7 +104,6 @@ class DalvikContext:
         self.gc_pending = False
         self.gc_cycles = 0
         self.jit_flushes = 0
-        self.invocations = 0
         proc.context[CONTEXT_KEY] = self
 
     # ------------------------------------------------------------------
@@ -148,7 +147,6 @@ class DalvikContext:
     ) -> ExecBlock:
         """Execute *reps* invocations of *method* (interpreted or JIT)."""
         cal = self.cal
-        self.invocations += reps
         stack_pairs = (
             ((task.stack_addr(), method.stack_refs * reps),)
             if task is not None

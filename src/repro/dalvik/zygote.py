@@ -79,7 +79,6 @@ class Zygote:
         self.system = system
         self.proc: "Process | None" = None
         self.ctx: DalvikContext | None = None
-        self.forks = 0
 
     # ------------------------------------------------------------------
 
@@ -139,7 +138,6 @@ class Zygote:
             raise RuntimeError("zygote not booted")
         kernel = self.system.kernel
         child = kernel.fork(self.proc, "app_process")
-        self.forks += 1
         if primary_dex is not None:
             map_dex(child, primary_dex)
         if extra_libs:

@@ -44,10 +44,6 @@ class ServiceError(ReproError):
     """A framework service rejected a request."""
 
 
-class InstallError(ReproError):
-    """Package installation failed."""
-
-
 class WorkloadError(ReproError):
     """A benchmark workload was misconfigured."""
 

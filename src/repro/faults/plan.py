@@ -15,10 +15,10 @@ and settle with its fault-free baseline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.errors import ConfigError
-from repro.jsonform import check_fields
+from repro.jsonform import check_fields, check_instance
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class ThreadKill:
     restart_ms: int = 0
 
     def __post_init__(self) -> None:
+        check_instance(self, "thread kill")
         if self.at_ms < 0:
             raise ConfigError(f"thread kill at_ms must be >= 0, got {self.at_ms}")
         if self.restart_ms < 0:
@@ -59,13 +60,14 @@ class ThrottleWindow:
     cpus: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        check_instance(self, "throttle")
         if self.at_ms < 0:
             raise ConfigError(f"throttle at_ms must be >= 0, got {self.at_ms}")
         if self.duration_ms <= 0:
             raise ConfigError(
                 f"throttle duration_ms must be > 0, got {self.duration_ms}"
             )
-        if not isinstance(self.factor, int) or self.factor < 2:
+        if self.factor < 2:
             raise ConfigError(f"throttle factor must be an int >= 2, got {self.factor}")
         if self.cpus is not None:
             object.__setattr__(self, "cpus", tuple(self.cpus))

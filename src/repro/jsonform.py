@@ -1,6 +1,8 @@
 """Checks for the decoders of a run configuration's JSON form, which comes
 from outside the program: a bad key or value is a
 :class:`~repro.errors.ConfigError` naming the field, never a ``TypeError``.
+The config dataclasses apply the same rules to the values they are built
+with in code.
 """
 
 from __future__ import annotations
@@ -55,3 +57,11 @@ def check_fields(raw: dict, cls: type, what: str, prefix: str = "") -> list[str]
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{what} field {prefix}{f.name} is missing")
     return sorted(prefix + key for key in set(raw) - set(cls.__dataclass_fields__))
+
+
+def check_instance(obj: object, what: str) -> None:
+    """Apply :func:`check_fields` to the field values of dataclass
+    instance *obj*, so one built in code holds only values its JSON form
+    could."""
+    check_fields({f.name: getattr(obj, f.name) for f in fields(obj)},
+                 type(obj), what)

@@ -47,8 +47,6 @@ class AddressSpace:
         self._brk_base = 0
         self._brk = 0
         self._heap_vma: VMA | None = None
-        #: Monotonic count of map operations (diagnostics / invariants).
-        self.map_ops = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -150,7 +148,6 @@ class AddressSpace:
             ) from None
         del self._vmas[idx]
         del self._starts[idx]
-        self.map_ops += 1
         if vma is self._heap_vma:
             self._heap_vma = None
 
@@ -254,7 +251,6 @@ class AddressSpace:
         idx = bisect_right(self._starts, vma.start)
         self._starts.insert(idx, vma.start)
         self._vmas.insert(idx, vma)
-        self.map_ops += 1
 
     def _check_free(self, start: int, end: int, label: str) -> None:
         idx = bisect_right(self._starts, start) - 1

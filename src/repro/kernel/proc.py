@@ -89,7 +89,6 @@ class Kernel:
         if self.idle_task is not None:
             return self.idle_task
         proc = Process(self._alloc_id(), "swapper", mm=None)
-        proc.spawn_time = self.system.clock.now
         task = Task(proc.pid, "swapper", proc, behavior=None, sched=self.sched)
         task.state = TaskState.SLEEPING  # never on the run queue
         proc.tasks.append(task)
@@ -100,7 +99,6 @@ class Kernel:
     def spawn_kthread(self, name: str, behavior: BehaviorLike = None) -> Process:
         """Create a kernel thread (no user address space)."""
         proc = Process(self._alloc_id(), name, mm=None)
-        proc.spawn_time = self.system.clock.now
         self._register(proc)
         self._attach_main(proc, name, behavior)
         return proc
@@ -114,7 +112,6 @@ class Kernel:
         """Create a user process with a fresh address space + main stack."""
         space = mm if mm is not None else AddressSpace(full_name)
         proc = Process(self._alloc_id(), full_name, mm=space)
-        proc.spawn_time = self.system.clock.now
         self._register(proc)
         stack = space.map_main_stack() if not space.labels() else None
         task = self._attach_main(proc, proc.comm, behavior)
@@ -135,7 +132,6 @@ class Kernel:
         name = full_name if full_name is not None else parent.full_name
         child_mm = parent.mm.clone(name)
         child = Process(self._alloc_id(), name, mm=child_mm, parent=parent)
-        child.spawn_time = self.system.clock.now
         # Mapped objects and named regions carry over: rebuild views onto
         # the cloned VMAs by matching start addresses.
         by_start = {vma.start: vma for vma in child_mm}
@@ -193,7 +189,6 @@ class Kernel:
         task.affinity = affinity
         if nice:
             task.set_nice(nice)
-        task.spawn_time = self.system.clock.now
         proc.tasks.append(task)
         self.threads_spawned += 1
         self._bind_behavior(task, behavior)
@@ -235,7 +230,6 @@ class Kernel:
 
     def _attach_main(self, proc: Process, name: str, behavior: BehaviorLike) -> Task:
         task = Task(proc.pid, name, proc, None, self.sched)
-        task.spawn_time = self.system.clock.now
         proc.tasks.append(task)
         self._bind_behavior(task, behavior)
         if task.behavior is not None:

@@ -51,7 +51,6 @@ class Task:
         "sched",
         "waitq",
         "wake_deadline",
-        "spawn_time",
         "exit_time",
         "cpu_ticks",
         "affinity",
@@ -83,7 +82,6 @@ class Task:
         self.sched = sched
         self.waitq: WaitQueue | None = None
         self.wake_deadline: int | None = None
-        self.spawn_time = 0
         self.exit_time: int | None = None
         self.cpu_ticks = 0
         #: Hard placement hint: wakeups always land on this CPU's runqueue
@@ -168,7 +166,6 @@ class Process:
         #: Upper layers hang their per-process context here (Dalvik, app...).
         self.context: dict[str, object] = {}
         self.alive = True
-        self.spawn_time = 0
         self.exit_time: int | None = None
 
     # ------------------------------------------------------------------

@@ -7,7 +7,6 @@ layered on by :func:`repro.android.boot.boot_android`.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING
 
 from repro.calibration import Calibration, CpuSpec, parse_cpu_profile
@@ -53,7 +52,6 @@ class System:
             raise ValueError(f"system needs cpus >= 1, got {cpus}")
         self.seed = seed
         self.calibration = calibration if calibration is not None else Calibration()
-        self.rng = random.Random(seed)
         self.clock = Clock()
         self.profiler = MemProfiler()
         self.cpu_profile = cpu_profile

@@ -358,7 +358,7 @@ class TestResultCache:
         alive = tmp_path / f"{key}.json.tmp.{os.getpid()}"
         alive.write_text("{")
         # Per-writer names carry the writer's thread id after its pid.
-        dead_thread = tmp_path / "_stats.json.tmp.999999999.140000"
+        dead_thread = tmp_path / f"{key}.json.tmp.999999999.140000"
         dead_thread.write_text("{")
         alive_thread = tmp_path / f"{key}.json.tmp.{os.getpid()}.12345"
         alive_thread.write_text("{")
@@ -423,16 +423,18 @@ class TestResultCache:
         SuiteRunner(QUICK_CONFIG, cache=ResultCache(str(tmp_path))).run_suite(
             SUBSET[:2]
         )
-        SuiteRunner(QUICK_CONFIG, cache=ResultCache(str(tmp_path))).run_suite(
-            SUBSET[:2]
-        )
+        warm = ResultCache(str(tmp_path))
+        SuiteRunner(QUICK_CONFIG, cache=warm).run_suite(SUBSET[:2])
+        assert warm.hits == 2 and warm.misses == 0
         stats = ResultCache(str(tmp_path)).stats()
+        names = sorted(os.listdir(tmp_path))
+        assert names == sorted(
+            ResultCache.key(bid, QUICK_CONFIG) + ".json" for bid in SUBSET[:2]
+        )                                 # the entries are the only files
         assert stats.entries == 2
-        assert stats.total_bytes > 0
-        assert stats.hits == 2            # second invocation's hits
-        assert stats.misses == 2          # first invocation's misses
-        # The stats file itself never counts as an entry.
-        assert len(ResultCache(str(tmp_path))) == 2
+        assert stats.total_bytes == sum(
+            os.path.getsize(tmp_path / name) for name in names
+        )
 
 
 def _shared_run():
@@ -479,15 +481,6 @@ def _plant_entry(cache: ResultCache, bench_id: str, mtime: float,
 
 
 class TestCacheGc:
-    def test_max_age_evicts_only_the_old(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        old = _plant_entry(cache, "countdown.main", mtime=100.0)
-        new = _plant_entry(cache, "999.specrand", mtime=280.0)
-        report = cache.gc(max_age=50.0, now=300.0)
-        assert not os.path.exists(old) and os.path.exists(new)
-        assert report.removed_entries == 1 and report.kept_entries == 1
-        assert report.removed_bytes > 0
-
     def test_max_bytes_evicts_oldest_first(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         paths = [
@@ -505,138 +498,89 @@ class TestCacheGc:
         assert report.removed_entries == 2 and report.kept_entries == 1
         assert report.kept_bytes == newest_size
 
-    def test_both_bounds_compose(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        _plant_entry(cache, "countdown.main", mtime=10.0)
-        _plant_entry(cache, "999.specrand", mtime=200.0)
-        _plant_entry(cache, "401.bzip2", mtime=290.0)
-        report = cache.gc(max_bytes=0, max_age=150.0, now=300.0)
-        assert report.removed_entries == 3 and report.kept_entries == 0
-        assert len(cache) == 0
-
     def test_no_bounds_is_a_noop(self, tmp_path):
+        """A budget the cache already fits bounds nothing: the pass
+        evicts no entry and only reports."""
         cache = ResultCache(str(tmp_path))
-        _plant_entry(cache, "countdown.main", mtime=1.0)
-        report = cache.gc()
+        path = _plant_entry(cache, "countdown.main", mtime=1.0)
+        report = cache.gc(max_bytes=os.path.getsize(path))
         assert report.removed_entries == 0 and report.kept_entries == 1
         assert len(cache) == 1
 
-    def test_max_entries_keeps_only_the_newest(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        paths = [
-            _plant_entry(cache, bid, mtime=float(100 * (i + 1)))
-            for i, bid in enumerate(
-                ["countdown.main", "999.specrand", "401.bzip2"]
-            )
-        ]
-        report = cache.gc(max_entries=1)
-        assert not os.path.exists(paths[0])
-        assert not os.path.exists(paths[1])
-        assert os.path.exists(paths[2])
-        assert report.removed_entries == 2 and report.kept_entries == 1
-        # Already within the bound: a repeat pass is a no-op.
-        repeat = cache.gc(max_entries=1)
-        assert repeat.removed_entries == 0 and repeat.kept_entries == 1
-
-    def test_dry_run_reports_without_deleting(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        paths = [
-            _plant_entry(cache, bid, mtime=float(100 * (i + 1)))
-            for i, bid in enumerate(["countdown.main", "999.specrand"])
-        ]
-        preview = cache.gc(max_bytes=0, dry_run=True)
-        assert preview.removed_entries == 2 and preview.kept_entries == 0
-        assert preview.removed_bytes > 0
-        assert all(os.path.exists(p) for p in paths)   # nothing touched
-        # The real pass then evicts exactly what the preview promised.
-        real = cache.gc(max_bytes=0)
-        assert real.removed_entries == preview.removed_entries
-        assert real.removed_bytes == preview.removed_bytes
-        assert len(cache) == 0
-
     def test_equal_age_prefers_least_recently_used(self, tmp_path):
-        """Among entries of the same mtime, the never-hit ones go first:
-        a warm entry outlives cold ones written in the same batch."""
+        """Among entries written together, the never-hit ones go first:
+        a hit refreshes its entry's mtime, so a warm entry outlives cold
+        ones written in the same batch."""
         cache = ResultCache(str(tmp_path))
         planted = {
             bid: _plant_entry(cache, bid, mtime=100.0)
             for bid in ("countdown.main", "999.specrand", "401.bzip2")
         }
         assert cache.get("999.specrand", QUICK_CONFIG) is not None  # warm it
-        report = cache.gc(max_entries=1)
+        report = cache.gc(max_bytes=os.path.getsize(planted["999.specrand"]))
         assert report.removed_entries == 2
         assert os.path.exists(planted["999.specrand"])
         assert not os.path.exists(planted["countdown.main"])
         assert not os.path.exists(planted["401.bzip2"])
 
     def test_lru_order_breaks_ties_among_hit_entries(self, tmp_path):
-        """Two warm entries of equal age: the one hit longer ago is
-        evicted first."""
+        """Eviction order is last use, not last write: an entry written
+        first but hit since outlives a later one never hit."""
         cache = ResultCache(str(tmp_path))
         first = _plant_entry(cache, "countdown.main", mtime=100.0)
-        second = _plant_entry(cache, "999.specrand", mtime=100.0)
-        name_first = os.path.basename(first)
-        name_second = os.path.basename(second)
-        # Control the timestamps directly: first hit long ago, second
-        # recently.
-        cache._session_last_hits[name_first] = 1_000.0
-        cache._session_last_hits[name_second] = 2_000.0
-        report = cache.gc(max_entries=1)
+        second = _plant_entry(cache, "999.specrand", mtime=200.0)
+        assert cache.get("countdown.main", QUICK_CONFIG) is not None
+        report = cache.gc(max_bytes=os.path.getsize(first))
         assert report.removed_entries == 1
-        assert not os.path.exists(first)
-        assert os.path.exists(second)
+        assert os.path.exists(first)
+        assert not os.path.exists(second)
 
-    def test_last_hit_timestamps_persist_in_stats_file(self, tmp_path):
-        """Hits recorded in one process steer eviction in a later one:
-        the per-entry timestamps ride the stats file."""
-        import json as _json
-
+    def test_hits_steer_eviction_by_a_fresh_instance(self, tmp_path):
+        """Hits recorded by one cache instance steer eviction by a later
+        one: the entry's mtime carries the hit, and the cache writes no
+        file but its entries."""
         cache = ResultCache(str(tmp_path))
         planted = {
             bid: _plant_entry(cache, bid, mtime=100.0)
             for bid in ("countdown.main", "999.specrand")
         }
         assert cache.get("999.specrand", QUICK_CONFIG) is not None
-        cache.flush_stats()
-        with open(tmp_path / ResultCache.STATS_FILE, encoding="utf-8") as fh:
-            raw = _json.load(fh)
-        warm_name = os.path.basename(planted["999.specrand"])
-        assert warm_name in raw["last_hit"]
-        assert os.path.basename(planted["countdown.main"]) not in raw["last_hit"]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(path) for path in planted.values()
+        )
 
         fresh = ResultCache(str(tmp_path))
-        report = fresh.gc(max_entries=1)
+        report = fresh.gc(max_bytes=os.path.getsize(planted["999.specrand"]))
         assert report.removed_entries == 1
         assert os.path.exists(planted["999.specrand"])
         assert not os.path.exists(planted["countdown.main"])
 
-    def test_flush_prunes_last_hits_of_evicted_entries(self, tmp_path):
-        """The stats file's last-hit map cannot grow without bound: a
-        flush drops records of entries no longer on disk."""
-        import json as _json
-
+    def test_hit_is_served_when_its_mtime_cannot_be_refreshed(
+        self, tmp_path, monkeypatch
+    ):
+        """Refreshing the mtime is best effort: a hit whose ``utime``
+        fails (a read-only directory) still returns the stored run."""
         cache = ResultCache(str(tmp_path))
-        _plant_entry(cache, "countdown.main", mtime=100.0)
-        assert cache.get("countdown.main", QUICK_CONFIG) is not None
-        cache.flush_stats()
-        cache.gc(max_bytes=0)
-        # A later hit/miss forces another flush; the evicted entry's
-        # record must not survive it.
-        assert cache.get("countdown.main", QUICK_CONFIG) is None  # miss
-        cache.flush_stats()
-        with open(tmp_path / ResultCache.STATS_FILE, encoding="utf-8") as fh:
-            raw = _json.load(fh)
-        assert raw["last_hit"] == {}
-        assert raw["misses"] >= 1
+        path = _plant_entry(cache, "countdown.main", mtime=100.0)
+
+        def utime(*args, **kwargs):
+            raise PermissionError("read-only file system")
+
+        monkeypatch.setattr(os, "utime", utime)
+        run = cache.get("countdown.main", QUICK_CONFIG)
+        assert run is not None and run.bench_id == "countdown.main"
+        assert cache.hits == 1 and cache.misses == 0
+        assert os.path.getmtime(path) == 100.0
 
     def test_gc_preserves_stats_and_foreign_files(self, tmp_path):
-        """Eviction removes run entries only: the persisted hit/miss
-        counters and files the cache does not own survive untouched."""
-        runner = SuiteRunner(QUICK_CONFIG, cache=ResultCache(str(tmp_path)))
-        runner.run_suite(SUBSET[:2])
+        """Eviction removes run entries only: a ``_stats.json`` left by
+        older versions of the cache and files the cache does not own
+        survive untouched."""
         SuiteRunner(QUICK_CONFIG, cache=ResultCache(str(tmp_path))).run_suite(
             SUBSET[:2]
-        )  # two hits, persisted on flush
+        )
+        old_stats = tmp_path / "_stats.json"
+        old_stats.write_text('{"hits": 2, "misses": 2, "last_hit": {}}')
         foreign = tmp_path / "notes.txt"
         foreign.write_text("mine")
         # A user parking a results file in the cache dir must never see
@@ -650,10 +594,9 @@ class TestCacheGc:
         assert report.removed_entries == 2
         stats = cache.stats()
         assert stats.entries == 0 and stats.total_bytes == 0
-        assert stats.hits == 2 and stats.misses == 2   # counters survive
         assert foreign.exists()
         assert parked.exists()
-        assert (tmp_path / ResultCache.STATS_FILE).exists()
+        assert old_stats.exists()
 
     def test_failed_unlink_is_reported_as_kept(self, tmp_path, monkeypatch):
         """An entry gc cannot delete is still on disk, so the report must
@@ -827,9 +770,22 @@ class TestCli:
         from repro.__main__ import main
 
         with pytest.raises(SystemExit) as exc:
-            main(["cache", "gc", str(tmp_path), "--max-entries", "1", "--lru"])
+            main(["cache", "gc", str(tmp_path), "--max-bytes", "0", "--lru"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --lru" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", (
+        ("--max-age", "1"), ("--max-entries", "1"), ("--dry-run",),
+    ), ids=("max-age", "max-entries", "dry-run"))
+    def test_cache_gc_takes_only_a_byte_budget(self, tmp_path, flag, capsys):
+        """``--max-bytes`` is the one bound: the age and count bounds and
+        the preview flag are gone, not silently ignored."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "gc", str(tmp_path), "--max-bytes", "0", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ("0", "-1"))
     @pytest.mark.parametrize("command", (
@@ -897,31 +853,9 @@ class TestCli:
         assert "kept:    0 entries" in out
 
         assert main(["cache", "stats", cache_dir]) == 0
-        assert "entries: 0" in capsys.readouterr().out
-
-    def test_cache_gc_cli_dry_run_and_max_entries(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        cache_dir = str(tmp_path / "cache")
-        argv = ["--duration", "0.4", "--settle-ms", "200", "suite",
-                "--cache", cache_dir,
-                "--bench", "countdown.main", "--bench", "999.specrand"]
-        assert main(argv) == 0
-        capsys.readouterr()
-
-        # Dry run previews the eviction without touching the entries.
-        assert main(["cache", "gc", cache_dir, "--max-entries", "1",
-                     "--dry-run"]) == 0
-        out = capsys.readouterr().out
-        assert "would evict: 1 entries" in out
-        assert main(["cache", "stats", cache_dir]) == 0
-        assert "entries: 2" in capsys.readouterr().out
-
-        # The real pass keeps exactly the newest entry.
-        assert main(["cache", "gc", cache_dir, "--max-entries", "1"]) == 0
-        assert "evicted: 1 entries" in capsys.readouterr().out
-        assert main(["cache", "stats", cache_dir]) == 0
-        assert "entries: 1" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            f"cache:   {cache_dir}", "entries: 0", "bytes:   0",
+        ]
 
     def test_cache_gc_requires_a_bound_and_an_existing_dir(
         self, tmp_path, capsys
@@ -935,6 +869,8 @@ class TestCli:
 
         present = tmp_path / "cache"
         present.mkdir()
-        assert main(["cache", "gc", str(present)]) == 2
-        assert "--max-bytes, --max-age and/or --max-entries" in \
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "gc", str(present)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --max-bytes" in \
             capsys.readouterr().err

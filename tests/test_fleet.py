@@ -174,7 +174,7 @@ class TestFleetExecution:
         cache = ResultCache(str(tmp_path / "cache"))
         cold = run_fleet(SPEC, SerialBackend(), cache=cache)
         warm = run_fleet(SPEC, SerialBackend(), cache=cache)
-        assert cache.stats().hits > 0
+        assert cache.hits > 0
         assert _fleet_json(cold) == _fleet_json(serial_result)
         assert _fleet_json(warm) == _fleet_json(serial_result)
 
@@ -250,7 +250,7 @@ class TestStreamingVsMaterialized:
         cache = ResultCache(str(tmp_path / "cache"))
         SweepRunner(SerialBackend(), cache=cache).run(_sweep_spec())
         sketches = _sketch_sweep(SweepRunner(SerialBackend(), cache=cache))
-        assert cache.stats().hits > 0
+        assert cache.hits > 0
         assert json.dumps(sketches.to_json_dict(), sort_keys=True) == \
             json.dumps(_sketch_of(materialized).to_json_dict(), sort_keys=True)
 

@@ -101,7 +101,7 @@ def test_bench_seed_ignores_non_seed_knobs(variant):
 def test_two_boots_are_distinct_graphs(bench_id):
     sys_a, stack_a, model_a = _boot(bench_id)
     sys_b, stack_b, model_b = _boot(bench_id)
-    for attr in ("kernel", "clock", "profiler", "engine", "fs", "rng"):
+    for attr in ("kernel", "clock", "profiler", "engine", "fs"):
         assert getattr(sys_a, attr) is not getattr(sys_b, attr), attr
     assert stack_a is not stack_b
     assert model_a is not model_b

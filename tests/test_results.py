@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.calibration import calibration_preset
+from repro.calibration import Calibration, calibration_preset
 from repro.core import QUICK_CONFIG, RunConfig, SuiteRunner
 from repro.core.results import ResultCache, RunResult, SuiteResult
 from repro.errors import AnalysisError, ConfigError
-from repro.faults import FaultPlan, fault_plan
+from repro.faults import FaultPlan, ThreadKill, ThrottleWindow, fault_plan
 from repro.sim.ticks import millis
 
 
@@ -169,6 +169,23 @@ def test_run_config_rejects_out_of_range_values_when_built_directly(
     assert field in str(exc.value)
     with pytest.raises(ConfigError):
         replace(RunConfig(), **kwargs)
+
+
+@pytest.mark.parametrize("build, field", (
+    (lambda: Calibration(sf_insts_per_pixel="5"), "sf_insts_per_pixel"),
+    (lambda: Calibration(jit_hot_threshold=2.5), "jit_hot_threshold"),
+    (lambda: ThreadKill(at_ms="10", proc="x", thread="y"), "at_ms"),
+    (lambda: ThrottleWindow(at_ms=1, duration_ms=20, cpus=(0.5,)), "cpus"),
+), ids=("string-cost", "fractional-threshold", "string-kill-time",
+        "fractional-throttle-cpu"))
+def test_nested_configs_reject_wrong_types_when_built_directly(build, field):
+    """A calibration, thread kill or throttle built in code has its field
+    types checked by the JSON decoder's rules: a string cost or kill time
+    raised a bare TypeError, a fractional JIT threshold ran with the
+    fraction in its cache key, and a fractional throttle CPU passed
+    RunConfig's check and died mid-window indexing the CPU list."""
+    with pytest.raises(ConfigError, match=rf"field {field} must be "):
+        build()
 
 
 def test_run_config_from_json_names_unknown_keys():
