@@ -19,79 +19,45 @@ Typical use::
     threads = table1(suite)             # the paper's Table I
 """
 
-from repro.analysis import (
-    evaluate_claims,
-    evaluate_sweep_claims,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    table1,
-)
-from repro.calibration import (
-    Calibration,
-    CpuSpec,
-    parse_cpu_profile,
-    profile_cpu_count,
-)
-from repro.core import (
-    AGAVE_IDS,
-    FIGURE_ORDER,
-    SPEC_IDS,
-    AsyncBackend,
-    BenchmarkSpec,
-    ExecutionBackend,
-    ResultCache,
-    RunConfig,
-    RunResult,
-    SerialBackend,
-    SuiteResult,
-    SuiteRunner,
-    SweepAxis,
-    SweepResult,
-    SweepRunner,
-    SweepSpec,
-    benchmarks,
-    execute_one,
-    get_benchmark,
-    make_backend,
-    shard_ids,
-)
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AGAVE_IDS",
-    "AsyncBackend",
-    "BenchmarkSpec",
-    "Calibration",
-    "CpuSpec",
-    "ExecutionBackend",
-    "FIGURE_ORDER",
-    "ResultCache",
-    "RunConfig",
-    "RunResult",
-    "SPEC_IDS",
-    "SerialBackend",
-    "SuiteResult",
-    "SuiteRunner",
-    "SweepAxis",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "__version__",
-    "benchmarks",
-    "evaluate_claims",
-    "evaluate_sweep_claims",
-    "execute_one",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "get_benchmark",
-    "make_backend",
-    "parse_cpu_profile",
-    "profile_cpu_count",
-    "shard_ids",
-    "table1",
-]
+#: Each public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "AGAVE_IDS": "repro.core.suite",
+    "AsyncBackend": "repro.core.backends.async_",
+    "BenchmarkSpec": "repro.core.spec",
+    "Calibration": "repro.calibration",
+    "CpuSpec": "repro.calibration",
+    "ExecutionBackend": "repro.core.backends.base",
+    "FIGURE_ORDER": "repro.core.suite",
+    "ResultCache": "repro.core.results",
+    "RunConfig": "repro.core.runner",
+    "RunResult": "repro.core.results",
+    "SPEC_IDS": "repro.core.suite",
+    "SerialBackend": "repro.core.backends.serial",
+    "SuiteResult": "repro.core.results",
+    "SuiteRunner": "repro.core.runner",
+    "SweepAxis": "repro.core.sweep",
+    "SweepResult": "repro.core.sweep",
+    "SweepRunner": "repro.core.sweep",
+    "SweepSpec": "repro.core.sweep",
+    "benchmarks": "repro.core.suite",
+    "evaluate_claims": "repro.analysis.claims",
+    "evaluate_sweep_claims": "repro.analysis.claims",
+    "execute_one": "repro.core.runner",
+    "figure1": "repro.analysis.figures",
+    "figure2": "repro.analysis.figures",
+    "figure3": "repro.analysis.figures",
+    "figure4": "repro.analysis.figures",
+    "get_benchmark": "repro.core.suite",
+    "make_backend": "repro.core.backends",
+    "parse_cpu_profile": "repro.calibration",
+    "profile_cpu_count": "repro.calibration",
+    "shard_ids": "repro.core.backends.sharded",
+    "table1": "repro.analysis.tables",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

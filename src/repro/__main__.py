@@ -46,54 +46,23 @@ import argparse
 import math
 import os
 import sys
-from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING
 
-from repro.analysis import (
-    evaluate_claims,
-    evaluate_fault_claims,
-    fault_report,
-    render_fault_report,
-    table1,
-)
-from repro.analysis.figures import build_figure
-from repro.analysis.paper import compare_table1
-from repro.analysis.breakdown import cpu_breakdown
-from repro.analysis.render import (
-    render_breakdown_csv,
-    render_breakdown_table,
-    render_claims,
-    render_smp_table,
-    render_stacked_ascii,
-    render_sweep_table,
-    render_table1,
-)
-from repro.analysis.smp import smp_rows
-from repro.analysis.sweep import METRICS, resolve_metric, sweep_tables
-from repro.analysis.fleet import render_fleet_report
-from repro.core import (
-    FleetResult,
-    FleetSpec,
-    ProgressMeter,
-    ResultCache,
-    RunConfig,
-    RunResult,
-    SuiteResult,
-    SuiteRunner,
-    SweepResult,
-    SweepRunner,
-    SweepSpec,
-    benchmarks,
-    make_backend,
-    parse_axis,
-    parse_mix,
-    parse_shard,
-    run_fleet,
-)
+# Only what _config, make_parser and main need: each command imports its
+# own helpers, so `list` or a serial `suite` never loads the process
+# pool, the fleet and stats layers, or the analysis it does not print.
+from repro.analysis.sweep import METRICS
 from repro.calibration import profile_cpu_count
-from repro.errors import AnalysisError, ConfigError, ReproError
+from repro.core.runner import RunConfig
+from repro.errors import ConfigError, ReproError
 from repro.faults import fault_plan, plan_names
 from repro.sim.ticks import millis, seconds, to_seconds
+
+if TYPE_CHECKING:
+    from typing import Callable
+
+    from repro.core.results import ResultCache, RunResult, SuiteResult
+    from repro.core.runner import SuiteRunner
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
@@ -155,16 +124,23 @@ def _add_exec_flags(
 
 def _make_cache(args: argparse.Namespace) -> ResultCache | None:
     """The ``--cache DIR`` result cache a command runs through, if any."""
+    from repro.core.results import ResultCache
+
     return ResultCache(args.cache) if args.cache else None
 
 
 def _shard(args: argparse.Namespace) -> "tuple[int, int] | None":
     """``--shard K/N`` as ``(k, n)``; None when absent or not offered."""
+    from repro.core.backends import parse_shard
+
     text = getattr(args, "shard", None)
     return parse_shard(text) if text else None
 
 
 def _make_runner(args: argparse.Namespace) -> SuiteRunner:
+    from repro.core.backends import make_backend
+    from repro.core.runner import SuiteRunner
+
     return SuiteRunner(
         _config(args),
         backend=make_backend(args.jobs),
@@ -198,12 +174,16 @@ def _progress_printer(
 
 def _load_or_run(args: argparse.Namespace) -> SuiteResult:
     if args.results:
+        from repro.core.results import SuiteResult
+
         return SuiteResult.load(args.results)
     runner = _make_runner(args)
     return runner.run_suite(progress=_progress_printer(args))
 
 
 def cmd_list(args: argparse.Namespace) -> int:
+    from repro.core.suite import benchmarks
+
     for bench in benchmarks():
         kind = "agave" if bench.is_android else "spec "
         print(f"{bench.bench_id:<22} [{kind}] {bench.description}")
@@ -211,6 +191,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.core.runner import SuiteRunner
+
     runner = SuiteRunner(_config(args))
     run = runner.run(args.benchmark)
     print(f"{run.bench_id}: {run.total_refs:,} references "
@@ -245,6 +227,12 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.render import render_sweep_table
+    from repro.analysis.sweep import resolve_metric, sweep_tables
+    from repro.core.backends import make_backend
+    from repro.core.suite import benchmarks
+    from repro.core.sweep import SweepRunner, SweepSpec, parse_axis
+
     resolve_metric(args.metric)  # reject a typo'd metric before simulating
     axes = tuple(parse_axis(text) for text in args.axis or [])
     ids = args.bench or [spec.bench_id for spec in benchmarks()]
@@ -278,6 +266,14 @@ def cmd_faults(args: argparse.Namespace) -> int:
     the fault-free baseline plus each requested plan — over the given
     benchmarks and reports on that.
     """
+    from repro.analysis.faults import (
+        evaluate_fault_claims, fault_report, render_fault_report,
+    )
+    from repro.analysis.render import render_claims
+    from repro.core.backends import make_backend
+    from repro.core.sweep import SweepResult, SweepRunner, SweepSpec, parse_axis
+    from repro.errors import AnalysisError
+
     if args.results:
         result = SweepResult.load(args.results)
     else:
@@ -310,6 +306,14 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
+    from functools import partial
+
+    from repro.analysis.fleet import render_fleet_report
+    from repro.core.backends import make_backend
+    from repro.core.fleet import (
+        FleetResult, FleetSpec, ProgressMeter, parse_mix, run_fleet,
+    )
+
     if args.merge:
         # Merge mode: no simulation — fold saved shard results together.
         if args.devices is not None or args.shard:
@@ -380,6 +384,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def cmd_cache_stats(args: argparse.Namespace) -> int:
+    from repro.core.results import ResultCache
+
     # A stats query must not conjure the directory into existence: a
     # typo'd path should error, not report a healthy empty cache.
     if not os.path.isdir(args.dir):
@@ -393,6 +399,11 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_cache_gc(args: argparse.Namespace) -> int:
+    from repro.core.results import ResultCache
+
+    # A typo'd sign would evict every entry.
+    if args.max_bytes < 0:
+        raise ConfigError(f"--max-bytes must be >= 0, got {args.max_bytes}")
     # Like stats: a GC of a mistyped path must error, not mint an empty
     # directory and report a successful no-op.
     if not os.path.isdir(args.dir):
@@ -408,6 +419,11 @@ def cmd_cache_gc(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
+    from repro.analysis.figures import build_figure
+    from repro.analysis.render import (
+        render_breakdown_csv, render_breakdown_table, render_stacked_ascii,
+    )
+
     suite = _load_or_run(args)
     numbers = [args.figure] if args.figure else [1, 2, 3, 4]
     for number in numbers:
@@ -422,6 +438,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from repro.analysis.paper import compare_table1
+    from repro.analysis.render import render_table1
+    from repro.analysis.tables import table1
+
     suite = _load_or_run(args)
     table = table1(suite)
     print(render_table1(table, top_n=args.top))
@@ -430,6 +450,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_claims(args: argparse.Namespace) -> int:
+    from repro.analysis.claims import evaluate_claims
+    from repro.analysis.render import render_claims
+
     suite = _load_or_run(args)
     claims = evaluate_claims(suite)
     print(render_claims(claims))
@@ -437,6 +460,10 @@ def cmd_claims(args: argparse.Namespace) -> int:
 
 
 def cmd_smp(args: argparse.Namespace) -> int:
+    from repro.analysis.breakdown import cpu_breakdown
+    from repro.analysis.render import render_breakdown_table, render_smp_table
+    from repro.analysis.smp import smp_rows
+
     suite = _load_or_run(args)
     print(render_smp_table(smp_rows(suite)))
     print(render_breakdown_table(cpu_breakdown(suite)))

@@ -1,89 +1,49 @@
 """Analysis layer: figure/table builders, claims checks, renderers."""
 
-from repro.analysis.breakdown import (
-    StackedBreakdown,
-    build_stacked,
-    cpu_breakdown,
-    shares,
-)
-from repro.analysis.claims import (
-    Claim,
-    evaluate_claims,
-    evaluate_sweep_claims,
-    failed_claims,
-)
-from repro.analysis.faults import (
-    FaultRow,
-    evaluate_fault_claims,
-    fault_report,
-    render_fault_report,
-)
-from repro.analysis.figures import (
-    build_figure,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-)
-from repro.analysis.fleet import DEFAULT_PERCENTILES, render_fleet_report
-from repro.analysis.render import (
-    render_breakdown_csv,
-    render_breakdown_table,
-    render_claims,
-    render_smp_table,
-    render_stacked_ascii,
-    render_sweep_table,
-    render_table1,
-)
-from repro.analysis.smp import SmpRow, smp_row, smp_rows
-from repro.analysis.sweep import (
-    METRICS,
-    SweepRow,
-    SweepTable,
-    axis_table,
-    resolve_metric,
-    sweep_tables,
-)
-from repro.analysis.tables import Table1, ThreadRow, canonical_thread_name, table1
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Claim",
-    "DEFAULT_PERCENTILES",
-    "FaultRow",
-    "METRICS",
-    "SmpRow",
-    "StackedBreakdown",
-    "SweepRow",
-    "SweepTable",
-    "Table1",
-    "ThreadRow",
-    "axis_table",
-    "build_figure",
-    "build_stacked",
-    "canonical_thread_name",
-    "cpu_breakdown",
-    "evaluate_claims",
-    "evaluate_fault_claims",
-    "evaluate_sweep_claims",
-    "failed_claims",
-    "fault_report",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "render_breakdown_csv",
-    "render_breakdown_table",
-    "render_claims",
-    "render_fault_report",
-    "render_fleet_report",
-    "render_smp_table",
-    "render_stacked_ascii",
-    "render_sweep_table",
-    "render_table1",
-    "resolve_metric",
-    "shares",
-    "smp_row",
-    "smp_rows",
-    "sweep_tables",
-    "table1",
-]
+#: Each public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "Claim": "repro.analysis.claims",
+    "DEFAULT_PERCENTILES": "repro.analysis.fleet",
+    "FaultRow": "repro.analysis.faults",
+    "METRICS": "repro.analysis.sweep",
+    "SmpRow": "repro.analysis.smp",
+    "StackedBreakdown": "repro.analysis.breakdown",
+    "SweepRow": "repro.analysis.sweep",
+    "SweepTable": "repro.analysis.sweep",
+    "Table1": "repro.analysis.tables",
+    "ThreadRow": "repro.analysis.tables",
+    "axis_table": "repro.analysis.sweep",
+    "build_figure": "repro.analysis.figures",
+    "build_stacked": "repro.analysis.breakdown",
+    "canonical_thread_name": "repro.analysis.tables",
+    "cpu_breakdown": "repro.analysis.breakdown",
+    "evaluate_claims": "repro.analysis.claims",
+    "evaluate_fault_claims": "repro.analysis.faults",
+    "evaluate_sweep_claims": "repro.analysis.claims",
+    "failed_claims": "repro.analysis.claims",
+    "fault_report": "repro.analysis.faults",
+    "figure1": "repro.analysis.figures",
+    "figure2": "repro.analysis.figures",
+    "figure3": "repro.analysis.figures",
+    "figure4": "repro.analysis.figures",
+    "render_breakdown_csv": "repro.analysis.render",
+    "render_breakdown_table": "repro.analysis.render",
+    "render_claims": "repro.analysis.render",
+    "render_fault_report": "repro.analysis.faults",
+    "render_fleet_report": "repro.analysis.fleet",
+    "render_smp_table": "repro.analysis.render",
+    "render_stacked_ascii": "repro.analysis.render",
+    "render_sweep_table": "repro.analysis.render",
+    "render_table1": "repro.analysis.render",
+    "resolve_metric": "repro.analysis.sweep",
+    "shares": "repro.analysis.breakdown",
+    "smp_row": "repro.analysis.smp",
+    "smp_rows": "repro.analysis.smp",
+    "sweep_tables": "repro.analysis.sweep",
+    "table1": "repro.analysis.tables",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -3,10 +3,12 @@
 The calibration kernel is a real negamax alpha-beta search over a small
 deterministic board game ("pick-a-pile" Nim variant with positional
 scoring) that exercises the shape of chess search: deep recursion,
-move generation, evaluation at the leaves.  Tier-1 tests check the
-search against exhaustive minimax on tiny positions and at the calibration
-position, so calibration runs only alpha-beta.  sjeng's footprint is
-stack-heavy (recursion) with small-table heap traffic.
+move generation, evaluation at the leaves.  The search reads no seed, so
+its footprint is stored (``SjengModel.PROFILE``) and calibration runs no
+search: tier-1 tests recompute the profile with alpha-beta and check
+alpha-beta against exhaustive minimax, on tiny positions and at the
+calibration position.  sjeng's footprint is stack-heavy (recursion) with
+small-table heap traffic.
 """
 
 from __future__ import annotations
@@ -104,15 +106,17 @@ class SjengModel(SpecModel):
     CAL_DEPTH = 6
     #: Positions searched per simulated iteration.
     POSITIONS_PER_ITERATION = 40
+    #: One :func:`negamax` search of ``CAL_POSITION`` to ``CAL_DEPTH``,
+    #: times ``POSITIONS_PER_ITERATION``: ``insts_per_op`` instructions
+    #: per op (4 per node, 1 per move generated, 6 per leaf evaluation),
+    #: a heap reference per 4 moves generated, a transposition probe per
+    #: 3 nodes and a recursion frame per node.
+    PROFILE = IterationProfile(
+        insts=264_303_600,
+        heap_refs=2_931_220,
+        anon_refs=470_186,
+        stack_refs=1_410_560,
+    )
 
     def calibrate(self) -> IterationProfile:
-        stats = SearchStats()
-        negamax(self.CAL_POSITION, self.CAL_DEPTH, -(10**9), 10**9, stats)
-        scale = self.POSITIONS_PER_ITERATION
-        ops = stats.nodes * 4 + stats.moves_generated + stats.evals * 6
-        return IterationProfile(
-            insts=ops * self.insts_per_op * scale,
-            heap_refs=stats.moves_generated * scale // 4,
-            anon_refs=stats.nodes * scale // 3,  # transposition probes
-            stack_refs=stats.nodes * scale,  # recursion frames
-        )
+        return self.PROFILE

@@ -14,7 +14,6 @@ cache misses execute:
 
 from __future__ import annotations
 
-from repro.core.backends.async_ import AsyncBackend
 from repro.core.backends.base import (
     BackendError,
     BatchProgress,
@@ -24,6 +23,12 @@ from repro.core.backends.base import (
 from repro.core.backends.serial import SerialBackend
 from repro.core.backends.sharded import parse_shard, shard_ids
 from repro.errors import ConfigError
+from repro.lazy import lazy_exports
+
+# The pool (and with it multiprocessing) loads only when asked for.
+__getattr__, __dir__ = lazy_exports(
+    globals(), {"AsyncBackend": "repro.core.backends.async_"}
+)
 
 
 def make_backend(jobs: int = 1) -> ExecutionBackend:
@@ -34,7 +39,11 @@ def make_backend(jobs: int = 1) -> ExecutionBackend:
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    return SerialBackend() if jobs == 1 else AsyncBackend(jobs=jobs)
+    if jobs == 1:
+        return SerialBackend()
+    from repro.core.backends.async_ import AsyncBackend
+
+    return AsyncBackend(jobs=jobs)
 
 
 __all__ = [

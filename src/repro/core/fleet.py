@@ -21,7 +21,6 @@ keys), which CI verifies with ``cmp``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
@@ -348,6 +347,8 @@ class FleetSpec:
 
     def digest(self) -> str:
         """Content hash guarding shard merges."""
+        import hashlib
+
         payload = json.dumps(self.to_json_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

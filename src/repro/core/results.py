@@ -13,7 +13,6 @@ already seen.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import re
@@ -490,6 +489,8 @@ class ResultCache:
     @staticmethod
     def key(bench_id: str, cfg: "RunConfig") -> str:
         """The content hash addressing one run."""
+        import hashlib  # here, so a run that never keys a cache skips OpenSSL
+
         from repro import __version__
 
         payload = json.dumps(

@@ -15,7 +15,7 @@ and settle with its fault-free baseline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from repro.errors import ConfigError
 from repro.jsonform import check_fields, check_instance
@@ -97,6 +97,17 @@ class FaultPlan:
     throttles: tuple[ThrottleWindow, ...] = ()
 
     def __post_init__(self) -> None:
+        # Types first, by the JSON decoder's rules; each entry checks its
+        # own fields.
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, cls in (("thread_kills", ThreadKill),
+                          ("throttles", ThrottleWindow)):
+            entries = values.pop(name)
+            if not (isinstance(entries, (list, tuple))
+                    and all(isinstance(e, cls) for e in entries)):
+                raise ConfigError(f"fault plan field {name} must be a tuple "
+                                  f"of {cls.__name__}, got {entries!r}")
+        check_fields(values, FaultPlan, "fault plan")
         if not 0.0 <= self.binder_fail_rate <= 1.0:
             raise ConfigError(
                 f"binder_fail_rate must be in [0, 1], got {self.binder_fail_rate}"

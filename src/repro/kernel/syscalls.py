@@ -9,7 +9,8 @@ code — it is still an address that gets classified, not a magic label.
 
 from __future__ import annotations
 
-import hashlib
+import functools
+import zlib
 
 from repro.kernel import layout
 from repro.sim.ops import ExecBlock
@@ -24,25 +25,23 @@ KERNEL_DATA_SPAN = 0x0400_0000
 #: Baseline instruction cost of crossing the user/kernel boundary.
 SYSCALL_OVERHEAD_INSTS = 260
 
-_addr_cache: dict[str, int] = {}
+
+@functools.cache
+def _entry_addr(name: str, base: int, span: int) -> int:
+    """A stable, word-aligned address in ``[base, base + span)`` for
+    *name*, computed once.  Any stable spread will do: every address at
+    or above ``KERNEL_BASE`` resolves to the ``OS kernel`` label."""
+    return base + (zlib.crc32(name.encode()) % span & ~0x3)
 
 
 def kernel_text_addr(entry: str) -> int:
     """Stable synthetic address for a named kernel entry point."""
-    addr = _addr_cache.get(entry)
-    if addr is None:
-        digest = hashlib.blake2s(entry.encode(), digest_size=4).digest()
-        offset = int.from_bytes(digest, "little") % KERNEL_TEXT_SPAN
-        addr = KERNEL_TEXT_BASE + (offset & ~0x3)
-        _addr_cache[entry] = addr
-    return addr
+    return _entry_addr(entry, KERNEL_TEXT_BASE, KERNEL_TEXT_SPAN)
 
 
 def kernel_data_addr(entry: str) -> int:
     """Stable synthetic address for a kernel data structure family."""
-    digest = hashlib.blake2s(("d:" + entry).encode(), digest_size=4).digest()
-    offset = int.from_bytes(digest, "little") % KERNEL_DATA_SPAN
-    return KERNEL_DATA_BASE + (offset & ~0x3)
+    return _entry_addr(entry, KERNEL_DATA_BASE, KERNEL_DATA_SPAN)
 
 
 def kernel_exec(

@@ -857,6 +857,17 @@ class TestCli:
             f"cache:   {cache_dir}", "entries: 0", "bytes:   0",
         ]
 
+    def test_cache_gc_rejects_a_negative_budget(self, tmp_path, capsys):
+        """A negative ``--max-bytes`` evicted every entry and exited 0."""
+        from repro.__main__ import main
+
+        cache = ResultCache(str(tmp_path))
+        path = _plant_entry(cache, "countdown.main", mtime=100.0)
+        assert main(["cache", "gc", str(tmp_path), "--max-bytes", "-5"]) == 2
+        assert "error: --max-bytes must be >= 0, got -5" in \
+            capsys.readouterr().err
+        assert os.path.exists(path)
+
     def test_cache_gc_requires_a_bound_and_an_existing_dir(
         self, tmp_path, capsys
     ):

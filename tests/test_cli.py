@@ -108,3 +108,13 @@ def test_out_of_range_window_is_a_clean_error(capsys, flags):
     assert captured.err.startswith("error: ") and "must be >=" in captured.err
     assert flags[0] in captured.err and "_ticks" not in captured.err
     assert "references" not in captured.out
+
+
+def test_faults_report_without_a_headline_plan_has_no_claims(capsys):
+    """With neither headline plan swept there is nothing to assert: the
+    report stands alone and the command exits 0."""
+    argv = ["--duration", "0.2", "--settle-ms", "50", "faults",
+            "--bench", "countdown.main", "--plan", "cache-storm"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "cache-storm" in out and "claims hold" not in out

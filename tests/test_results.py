@@ -176,14 +176,22 @@ def test_run_config_rejects_out_of_range_values_when_built_directly(
     (lambda: Calibration(jit_hot_threshold=2.5), "jit_hot_threshold"),
     (lambda: ThreadKill(at_ms="10", proc="x", thread="y"), "at_ms"),
     (lambda: ThrottleWindow(at_ms=1, duration_ms=20, cpus=(0.5,)), "cpus"),
+    (lambda: FaultPlan(binder_fail_rate="x"), "binder_fail_rate"),
+    (lambda: FaultPlan(evict_at_ms=("5",)), "evict_at_ms"),
+    (lambda: FaultPlan(evict_at_ms=(1.5,)), "evict_at_ms"),
+    (lambda: FaultPlan(name=7, binder_fail_rate=0.1), "name"),
+    (lambda: FaultPlan(thread_kills=({"at_ms": 1},)), "thread_kills"),
 ), ids=("string-cost", "fractional-threshold", "string-kill-time",
-        "fractional-throttle-cpu"))
+        "fractional-throttle-cpu", "string-fail-rate", "string-evict-time",
+        "fractional-evict-time", "int-plan-name", "dict-thread-kill"))
 def test_nested_configs_reject_wrong_types_when_built_directly(build, field):
-    """A calibration, thread kill or throttle built in code has its field
-    types checked by the JSON decoder's rules: a string cost or kill time
-    raised a bare TypeError, a fractional JIT threshold ran with the
-    fraction in its cache key, and a fractional throttle CPU passed
-    RunConfig's check and died mid-window indexing the CPU list."""
+    """A calibration, thread kill, throttle or fault plan built in code
+    has its field types checked by the JSON decoder's rules: a string
+    cost, kill time, fail rate or eviction time raised a bare TypeError,
+    a fractional JIT threshold or eviction time and an int plan name ran
+    with them in the cache key, a fractional throttle CPU passed
+    RunConfig's check and died mid-window indexing the CPU list, and a
+    plan whose kill entry was a dict built and would die when it fired."""
     with pytest.raises(ConfigError, match=rf"field {field} must be "):
         build()
 

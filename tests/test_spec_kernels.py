@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.spec import bzip2, hmmer, libquantum, mcf, sjeng, specrand
+from repro.apps.spec.base import IterationProfile
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,25 @@ def test_alphabeta_matches_minimax_at_the_calibration_position():
     stats = sjeng.SearchStats()
     score = sjeng.negamax(position, depth, -(10**9), 10**9, stats)
     assert score == sjeng.minimax_reference(position, depth) == 1
+
+
+def test_stored_profile_is_the_calibration_search():
+    """``SjengModel.calibrate`` returns ``PROFILE`` without searching, since
+    the search reads no seed: recompute it from one alpha-beta search of
+    ``CAL_POSITION`` to ``CAL_DEPTH``, as every run once did."""
+    model = sjeng.SjengModel
+    stats = sjeng.SearchStats()
+    sjeng.negamax(model.CAL_POSITION, model.CAL_DEPTH, -(10**9), 10**9, stats)
+    scale = model.POSITIONS_PER_ITERATION
+    ops = stats.nodes * 4 + stats.moves_generated + stats.evals * 6
+    searched = IterationProfile(
+        insts=ops * model.insts_per_op * scale,
+        heap_refs=stats.moves_generated * scale // 4,
+        anon_refs=stats.nodes * scale // 3,
+        stack_refs=stats.nodes * scale,
+    )
+    for seed in (0, 1, 1234):
+        assert model(seed=seed).calibrate() == searched
 
 
 def test_alphabeta_prunes():
