@@ -278,8 +278,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         result = SweepResult.load(args.results)
     else:
         plans = args.plan or ["binder-flaky", "sf-kill"]
-        for plan in plans:
-            fault_plan(plan)  # reject typos before simulating
         axes = (parse_axis("faults=none," + ",".join(plans)),)
         ids = args.bench or ["vlc.mp4.view"]
         spec = SweepSpec(benches=tuple(ids), axes=axes, base=_config(args))
@@ -313,6 +311,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.core.fleet import (
         FleetResult, FleetSpec, ProgressMeter, parse_mix, run_fleet,
     )
+    from repro.core.sweep import AXES, AXIS_FAULTS
 
     if args.merge:
         # Merge mode: no simulation — fold saved shard results together.
@@ -337,33 +336,23 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     if args.devices is None:
         raise ConfigError("fleet needs --devices N (or --merge FILES)")
-    none_aware = lambda s: None if s.lower() == "none" else s
+    mixes = {
+        name: parse_mix(text, parse)
+        for name, text, parse in (
+            ("bench_mix", args.bench_mix, str),
+            ("profile_mix", args.profile_mix, AXES["cpu_profile"].parse),
+            ("preset_mix", args.preset_mix, str),
+            ("scale_mix", args.scale_mix, float),
+            ("fault_mix", args.fault_mix, AXES[AXIS_FAULTS].parse),
+        )
+        if text
+    }
     spec = FleetSpec(
         devices=args.devices,
         seed=args.seed,
-        bench_mix=parse_mix(args.bench_mix) if args.bench_mix else (),
-        profile_mix=(
-            parse_mix(args.profile_mix, none_aware)
-            if args.profile_mix
-            else ((None, 1.0),)
-        ),
-        preset_mix=(
-            parse_mix(args.preset_mix)
-            if args.preset_mix
-            else (("baseline", 1.0),)
-        ),
-        scale_mix=(
-            parse_mix(args.scale_mix, float)
-            if args.scale_mix
-            else ((1.0, 1.0),)
-        ),
         base=_config(args),
         capacity=args.capacity,
-        fault_mix=(
-            parse_mix(args.fault_mix, none_aware)
-            if args.fault_mix
-            else ((None, 1.0),)
-        ),
+        **mixes,
     )
     make_progress = None
     if args.progress:

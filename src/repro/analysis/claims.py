@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.analysis.sweep import pivot
 from repro.analysis.tables import table1
 from repro.core.suite import AGAVE_IDS, SPEC_IDS
 from repro.errors import AnalysisError
@@ -245,21 +246,6 @@ def failed_claims(suite: "SuiteResult") -> list[Claim]:
 # Sweep-aware claims: paper deltas measured over a SweepResult
 
 
-def _jit_pairs(sweep: "SweepResult") -> "list[dict[bool, RunResult]]":
-    """Complete jit on/off run pairs, one per (benchmark, other-axis
-    context) — the cells a JIT-delta claim is allowed to compare."""
-    pairs: "dict[tuple, dict[bool, RunResult]]" = {}
-    for (bench_id, label), run in sweep.runs.items():
-        values = sweep.variant_values.get(label)
-        if values is None or "jit" not in values:
-            continue
-        context = tuple(
-            (name, value) for name, value in values.items() if name != "jit"
-        )
-        pairs.setdefault((bench_id, context), {})[bool(values["jit"])] = run
-    return [pair for pair in pairs.values() if True in pair and False in pair]
-
-
 def evaluate_sweep_claims(sweep: "SweepResult") -> list[Claim]:
     """Evaluate delta claims over a sweep's grid.
 
@@ -270,7 +256,11 @@ def evaluate_sweep_claims(sweep: "SweepResult") -> list[Claim]:
     share — asserted across every (benchmark, context) pair of the grid
     at once rather than over one hand-picked run pair.
     """
-    pairs = _jit_pairs(sweep)
+    # Complete on/off pairs, one per (benchmark, other-axis context).
+    pairs = [
+        cells for _, _, cells in pivot(sweep, "jit")
+        if True in cells and False in cells
+    ]
     if not pairs:
         raise AnalysisError(
             "sweep claims need a 'jit' axis with both on and off cells; "

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.claims import Claim
-from repro.core.sweep import AXIS_FAULTS
+from repro.analysis.sweep import pivot
+from repro.core.sweep import AXIS_FAULTS, variant_label
 from repro.errors import AnalysisError
 
 if TYPE_CHECKING:
-    from repro.core.results import RunResult
     from repro.core.sweep import SweepResult
 
 #: A faulted cell keeping at least this fraction of the baseline's
@@ -52,46 +52,6 @@ class FaultRow:
     verdict: str
 
 
-def _fault_groups(
-    sweep: "SweepResult",
-) -> "list[tuple[str, str, RunResult, dict[str, RunResult]]]":
-    """Per (benchmark, other-axis context): the fault-free baseline run
-    plus every faulted cell, keyed by plan name.
-
-    Groups without a ``faults=none`` baseline cell are dropped — a delta
-    needs its denominator (a sharded sweep may hold only faulted cells).
-    """
-    if AXIS_FAULTS not in sweep.axes:
-        raise AnalysisError(
-            "fault report needs a 'faults' sweep axis; "
-            f"swept axes: {', '.join(sweep.axes) or '-'}"
-        )
-    groups: "dict[tuple, dict]" = {}
-    for (bench_id, label), run in sweep.runs.items():
-        values = sweep.variant_values.get(label)
-        if values is None or AXIS_FAULTS not in values:
-            continue
-        context = tuple(
-            (name, value)
-            for name, value in values.items()
-            if name != AXIS_FAULTS
-        )
-        groups.setdefault((bench_id, context), {})[values[AXIS_FAULTS]] = run
-    out = []
-    for (bench_id, context), cells in groups.items():
-        baseline = cells.get(None)
-        if baseline is None:
-            continue
-        plans = {
-            str(plan): run for plan, run in cells.items() if plan is not None
-        }
-        if not plans:
-            continue
-        label = ",".join(f"{name}={value}" for name, value in context)
-        out.append((bench_id, label, baseline, plans))
-    return out
-
-
 def _verdict(frames_ratio: "float | None", refs_delta_pct: float) -> str:
     if frames_ratio is not None:
         return (
@@ -107,15 +67,21 @@ def _verdict(frames_ratio: "float | None", refs_delta_pct: float) -> str:
 def fault_report(sweep: "SweepResult") -> list[FaultRow]:
     """Every faulted cell measured against its fault-free baseline.
 
-    Rows come out in grid order (the sweep's own cell order), one per
-    (benchmark, context, plan).  Raises when the sweep has no ``faults``
-    axis or no comparable baseline/faulted group at all.
+    Rows come out in grid order, one per (benchmark, context, plan),
+    plans sorted by name within a context.  A context without its
+    ``faults=none`` cell is skipped, since a delta needs its denominator
+    (a sharded sweep may hold only faulted cells).  Raises when the
+    sweep has no ``faults`` axis or no comparable baseline/faulted pair.
     """
     rows: list[FaultRow] = []
-    for bench_id, context, baseline, plans in _fault_groups(sweep):
+    for bench_id, fixed, cells in pivot(sweep, AXIS_FAULTS):
+        baseline = cells.pop(None, None)
+        if baseline is None:
+            continue
+        context = variant_label(fixed, fixed) if fixed else ""
         base_refs = baseline.total_refs
         base_frames = float(baseline.meta.get("sf_frames", 0))
-        for plan, run in sorted(plans.items()):
+        for plan, run in sorted(cells.items()):
             refs_delta = (
                 100.0 * (run.total_refs - base_refs) / base_refs
                 if base_refs else 0.0

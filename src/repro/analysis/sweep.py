@@ -117,6 +117,33 @@ def _deltas(metrics: "tuple[float, ...]") -> "tuple[float, ...]":
     return tuple(100.0 * (m - base) / base for m in metrics)
 
 
+def pivot(
+    result: "SweepResult", axis: str
+) -> "list[tuple[str, dict[str, object], dict[object, RunResult]]]":
+    """The grid seen along *axis*: ``(bench_id, other-axis values,
+    {axis value: run})`` for every benchmark and every combination of
+    the other axes, in grid order.  A cell the result lacks (an unmerged
+    shard, a partial grid) is absent from its dict."""
+    if axis not in result.axes:
+        raise AnalysisError(
+            f"no axis {axis!r} in sweep; swept: {', '.join(result.axes) or '-'}"
+        )
+    order = list(result.axes)
+    others = [name for name in order if name != axis]
+    out = []
+    for bench_id in result.benches():
+        for combo in itertools.product(*(result.axes[name] for name in others)):
+            fixed = dict(zip(others, combo))
+            cells = {}
+            for value in result.axes[axis]:
+                label = variant_label({**fixed, axis: value}, order)
+                run = result.runs.get((bench_id, label))
+                if run is not None:
+                    cells[value] = run
+            out.append((bench_id, fixed, cells))
+    return out
+
+
 def axis_table(
     result: "SweepResult", axis: str, metric: str = "total_refs"
 ) -> SweepTable:
@@ -129,43 +156,21 @@ def axis_table(
     to get the full table).  The drop is counted, never silent — the
     table carries :attr:`SweepTable.dropped` and renderers report it.
     """
-    if axis not in result.axes:
-        raise AnalysisError(
-            f"no axis {axis!r} in sweep; swept: {', '.join(result.axes) or '-'}"
-        )
+    groups = pivot(result, axis)
     measure = resolve_metric(metric)
-
-    axis_order = list(result.axes)
-    other_names = [name for name in axis_order if name != axis]
-    other_combos = list(
-        itertools.product(*(result.axes[name] for name in other_names))
-    )
-
     rows = []
-    dropped = 0
-    for bench_id in result.benches():
-        for combo in other_combos:
-            fixed = dict(zip(other_names, combo))
-            metrics = []
-            for value in result.axes[axis]:
-                values = dict(fixed)
-                values[axis] = value
-                label = variant_label(values, axis_order)
-                run = result.runs.get((bench_id, label))
-                if run is None:
-                    break
-                metrics.append(measure(run))
-            if len(metrics) != len(result.axes[axis]):
-                dropped += 1
-                continue
-            rows.append(
-                SweepRow(
-                    bench_id=bench_id,
-                    context=variant_label(fixed, other_names) if fixed else "",
-                    metrics=tuple(metrics),
-                    deltas=_deltas(tuple(metrics)),
-                )
+    for bench_id, fixed, cells in groups:
+        if len(cells) != len(result.axes[axis]):
+            continue
+        metrics = tuple(measure(run) for run in cells.values())
+        rows.append(
+            SweepRow(
+                bench_id=bench_id,
+                context=variant_label(fixed, fixed) if fixed else "",
+                metrics=metrics,
+                deltas=_deltas(metrics),
             )
+        )
     return SweepTable(
         axis=axis,
         value_labels=tuple(
@@ -173,7 +178,7 @@ def axis_table(
         ),
         metric=metric,
         rows=tuple(rows),
-        dropped=dropped,
+        dropped=len(groups) - len(rows),
     )
 
 

@@ -11,7 +11,7 @@ these per-unit costs and the workload structure.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 from repro.errors import CalibrationError, ConfigError
@@ -97,7 +97,8 @@ class Calibration:
         check_instance(self, "calibration")
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value) or value < 0:
+            # An int past the float range is no finite cost either.
+            if not 0 <= value <= sys.float_info.max:
                 raise CalibrationError(
                     f"calibration field {f.name} must be a finite number "
                     f">= 0, got {value!r}"
@@ -200,12 +201,12 @@ def parse_cpu_profile(profile: str) -> tuple[CpuSpec, ...]:
     ``"4+0"`` (all big, i.e. symmetric speeds but scheduled by the CFS
     queue) are valid degenerate forms.
     """
-    big_text, sep, little_text = profile.partition("+")
-    if not sep:
+    if not isinstance(profile, str) or "+" not in profile:
         raise ConfigError(
             f"bad cpu profile {profile!r}: expected BIG+LITTLE core counts "
             f"(e.g. 4+4 or 2+2)"
         )
+    big_text, _, little_text = profile.partition("+")
     try:
         big, little = int(big_text), int(little_text)
     except ValueError:

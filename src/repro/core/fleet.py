@@ -27,11 +27,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.calibration import (
-    Calibration,
-    calibration_preset,
-    profile_cpu_count,
-)
+from repro.calibration import calibration_preset
 from repro.core.backends.sharded import shard_ids
 from repro.core.results import ResultCache, RunResult, load_json_file
 from repro.core.runner import RunConfig, execute_with_cache
@@ -41,8 +37,14 @@ from repro.core.stats import (
     SketchSet,
 )
 from repro.core.suite import AGAVE_IDS, get_benchmark
+from repro.core.sweep import (
+    AXES,
+    AXIS_FAULTS,
+    format_axis_value,
+    positive_finite,
+    with_calibration,
+)
 from repro.errors import AnalysisError, ConfigError
-from repro.faults.plan import fault_plan
 
 if TYPE_CHECKING:
     from repro.core.backends import ExecutionBackend
@@ -60,8 +62,9 @@ def parse_mix(text: str, parse_value: Callable[[str], object] = str) -> tuple:
     """Parse a CLI mix spec ``v1=w1,v2=w2,...`` into weighted entries.
 
     Weights are optional (``lowend,highend`` is an even split); values
-    go through *parse_value* (e.g. ``float`` for scale mixes, or a
-    ``none``-aware profile parser).
+    go through *parse_value* (e.g. ``float`` for scale mixes, or an
+    axis's ``none``-aware parser from :data:`~repro.core.sweep.AXES`),
+    whose ``ValueError`` becomes a :class:`ConfigError`.
     """
     entries = []
     for part in text.split(","):
@@ -77,7 +80,12 @@ def parse_mix(text: str, parse_value: Callable[[str], object] = str) -> tuple:
                 raise ConfigError(
                     f"bad mix weight {weight_text!r} in {text!r}"
                 ) from None
-        entries.append((parse_value(value_text), weight))
+        try:
+            entries.append((parse_value(value_text), weight))
+        except ValueError:
+            raise ConfigError(
+                f"bad mix value {value_text!r} in {text!r}"
+            ) from None
     if not entries:
         raise ConfigError(f"mix spec {text!r} has no entries")
     return tuple(entries)
@@ -87,9 +95,10 @@ def _check_mix(name: str, mix: tuple) -> None:
     if not mix:
         raise ConfigError(f"fleet {name} mix has no entries")
     for _value, weight in mix:
-        if not isinstance(weight, (int, float)) or weight <= 0:
+        if not positive_finite(weight):
             raise ConfigError(
-                f"fleet {name} mix weights must be positive, got {weight!r}"
+                f"fleet {name} mix weights must be positive finite "
+                f"numbers, got {weight!r}"
             )
 
 
@@ -197,19 +206,19 @@ class FleetSpec:
             _check_mix("bench", self.bench_mix)
         for bench_id, _ in self.effective_bench_mix():
             get_benchmark(bench_id)  # unknown ids fail before simulation
-        for profile, _ in self.profile_mix:
-            if profile is not None:
-                profile_cpu_count(profile)
-        for preset, _ in self.preset_mix:
-            calibration_preset(preset)
+        for axis, mix in (
+            ("cpu_profile", self.profile_mix),
+            ("cal.preset", self.preset_mix),
+            (AXIS_FAULTS, self.fault_mix),
+        ):
+            for value, _ in mix:
+                AXES[axis].apply(RunConfig(), value)
         for scale, _ in self.scale_mix:
-            if not isinstance(scale, (int, float)) or scale <= 0:
+            if not positive_finite(scale):
                 raise ConfigError(
-                    f"fleet scale mix values must be positive, got {scale!r}"
+                    f"fleet scale mix values must be positive finite "
+                    f"numbers, got {scale!r}"
                 )
-        for plan, _ in self.fault_mix:
-            if plan is not None:
-                fault_plan(plan)  # validates the name
 
     # ------------------------------------------------------------------
 
@@ -240,22 +249,14 @@ class FleetSpec:
             dev_seed = seeds[rng.randrange(len(seeds))]
             fault = _pick(rng, self.fault_mix) if faults_active else None
             cfg = replace(self.base, seed=dev_seed)
-            if fault is not None:
-                cfg = replace(cfg, faults=fault_plan(fault))
-            if profile is not None:
-                cfg = replace(
-                    cfg,
-                    cpu_profile=profile,
-                    cpus=profile_cpu_count(profile),
-                )
+            # A None draw keeps the base config's plan and machine.
+            for axis, value in ((AXIS_FAULTS, fault), ("cpu_profile", profile)):
+                if value is not None:
+                    cfg = AXES[axis].apply(cfg, value)
             cal = calibration_preset(preset)
             if scale != 1.0:
                 cal = cal.scaled(scale)
-            # The fitted default canonicalises to None, sharing cache
-            # keys with non-fleet runs.
-            cfg = replace(
-                cfg, calibration=None if cal == Calibration() else cal
-            )
+            cfg = with_calibration(cfg, cal)
             fleet.append(
                 DeviceProfile(
                     device_id=device_id,
@@ -309,16 +310,15 @@ class FleetSpec:
         for device in fleet:
             for table, value in (
                 ("bench", device.bench_id),
-                ("profile", device.profile or "none"),
+                ("profile", device.profile),
                 ("preset", device.preset),
-                ("scale", format(device.scale, "g")),
+                ("scale", device.scale),
+                ("fault", device.fault),
             ):
-                counts = tables[table]
-                counts[value] = counts.get(value, 0) + 1
-            if faults_active:
-                counts = tables["fault"]
-                value = device.fault or "none"
-                counts[value] = counts.get(value, 0) + 1
+                counts = tables.get(table)
+                if counts is not None:
+                    label = format_axis_value(value)
+                    counts[label] = counts.get(label, 0) + 1
         return tables
 
     # ------------------------------------------------------------------

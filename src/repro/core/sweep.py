@@ -18,15 +18,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
-from repro.calibration import (
-    CAL_PRESETS,
-    Calibration,
-    calibration_preset,
-    profile_cpu_count,
-)
+from repro.calibration import Calibration, calibration_preset, profile_cpu_count
 from repro.core.backends.sharded import shard_ids
 from repro.core.results import (
     ResultCache,
@@ -42,17 +38,8 @@ from repro.faults.plan import fault_plan
 if TYPE_CHECKING:
     from repro.core.backends import ExecutionBackend
 
-#: Axis names with fixed semantics (everything else must be ``cal.*``).
-AXIS_SEED = "seed"
-AXIS_JIT = "jit"
-AXIS_DURATION = "duration"
-AXIS_CPUS = "cpus"
-AXIS_CPU_PROFILE = "cpu_profile"
-AXIS_CAL_PRESET = "cal.preset"
+#: The fault-plan axis, which the fault report pivots on.
 AXIS_FAULTS = "faults"
-CAL_PREFIX = "cal."
-
-_CAL_FIELDS = {f.name for f in fields(Calibration)}
 
 
 def format_axis_value(value: object) -> str:
@@ -77,15 +64,127 @@ def variant_label(values: Mapping[str, object], axis_order: Iterable[str]) -> st
     return ",".join(parts) if parts else "base"
 
 
+def positive_finite(value: object) -> bool:
+    """Whether *value* is an int or float in ``(0, inf)`` (a bool is
+    never a number)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 < value < math.inf
+    )
+
+
+def with_calibration(cfg: RunConfig, cal: Calibration) -> RunConfig:
+    """*cfg* running *cal*.  The fitted default becomes ``None``, so the
+    config shares its cache key with runs that never set a calibration."""
+    return replace(cfg, calibration=None if cal == Calibration() else cal)
+
+
+class AxisKind(NamedTuple):
+    """What one axis name means: how a CLI value parses (raising
+    ``ValueError`` on bad text, as ``float`` does) and how a value sets
+    a config."""
+
+    parse: Callable[[str], object]
+    apply: Callable[[RunConfig, object], RunConfig]
+
+
+def _number(raw: str) -> "int | float":
+    """An int when the text is one exactly, else a float."""
+    try:
+        return int(raw)
+    except ValueError:
+        return float(raw)
+
+
+_ON_OFF = {"on": True, "true": True, "1": True,
+           "off": False, "false": False, "0": False}
+
+
+def _on_off(raw: str) -> bool:
+    try:
+        return _ON_OFF[raw.lower()]
+    except KeyError:
+        raise ValueError("expected on/off") from None
+
+
+def _none_or_name(raw: str) -> "str | None":
+    return None if raw.lower() == "none" else raw
+
+
+def _scale_window(cfg: RunConfig, factor: object) -> RunConfig:
+    # RunConfig.scaled clamps a tiny window to one tick instead of
+    # rejecting it, and an infinite one cannot become ticks.
+    if not (positive_finite(factor) and cfg.duration_ticks * factor < math.inf):
+        raise ConfigError(
+            f"duration axis values must be positive finite factors, "
+            f"got {factor!r}"
+        )
+    return cfg.scaled(factor)
+
+
+def _set_profile(cfg: RunConfig, profile: "str | None") -> RunConfig:
+    if profile is None:
+        return replace(cfg, cpu_profile=None)
+    # A profile pins the core count too: "2+2" is a 4-core machine
+    # whatever the base config said.
+    return replace(cfg, cpu_profile=profile, cpus=profile_cpu_count(profile))
+
+
+def _set_faults(cfg: RunConfig, plan: "str | None") -> RunConfig:
+    # ``none`` IS the default: the baseline cell keeps the exact cache
+    # key (and bytes) an unswept run of the config has.
+    return replace(cfg, faults=None if plan is None else fault_plan(plan))
+
+
+def _set_cal_field(name: str) -> "Callable[[RunConfig, object], RunConfig]":
+    def apply(cfg: RunConfig, value: object) -> RunConfig:
+        # Refines the config's calibration (or the default) and never
+        # canonicalises to None: cache keys depend on that.
+        cal = cfg.calibration if cfg.calibration is not None else Calibration()
+        return replace(cfg, calibration=replace(cal, **{name: value}))
+
+    return apply
+
+
+#: Every sweep axis by name.  The values are checked where they land:
+#: by :class:`RunConfig`, :class:`~repro.calibration.Calibration` and the
+#: preset, profile and fault-plan registries.
+AXES: "dict[str, AxisKind]" = {
+    "seed": AxisKind(_number, lambda cfg, v: replace(cfg, seed=v)),
+    "jit": AxisKind(_on_off, lambda cfg, v: replace(cfg, jit_enabled=v)),
+    "duration": AxisKind(_number, _scale_window),
+    "cpus": AxisKind(_number, lambda cfg, v: replace(cfg, cpus=v)),
+    "cpu_profile": AxisKind(_none_or_name, _set_profile),
+    "cal.preset": AxisKind(
+        str, lambda cfg, v: with_calibration(cfg, calibration_preset(v))
+    ),
+    AXIS_FAULTS: AxisKind(_none_or_name, _set_faults),
+    **{
+        f"cal.{f.name}": AxisKind(_number, _set_cal_field(f.name))
+        for f in fields(Calibration)
+    },
+}
+
+
+def _axis_kind(name: str) -> AxisKind:
+    try:
+        return AXES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown axis {name!r}; known: {', '.join(AXES)}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     """One swept dimension: an axis name plus its ordered values.
 
-    Supported names:
+    Names, from :data:`AXES`:
 
     - ``seed`` — integer base seeds.
     - ``jit`` — booleans (CLI spelling ``on``/``off``).
-    - ``duration`` — positive scale factors applied to the base window.
+    - ``duration`` — positive finite factors applied to the base window.
     - ``cpus`` — simulated core counts (integers >= 1, the SMP axis).
     - ``cpu_profile`` — big.LITTLE profiles (``"2+2"``-style strings; a
       profile also sets ``cpus`` to its core count) or ``None``
@@ -96,11 +195,17 @@ class SweepAxis:
       order it *before* any ``cal.<field>`` axis that should refine it.
       ``baseline`` canonicalises to the default calibration, sharing
       cache entries with unswept runs.
-    - ``cal.<field>`` — numeric overrides of one
+    - ``cal.<field>`` — overrides of one
       :class:`~repro.calibration.Calibration` field.
     - ``faults`` — named fault plans from
       :data:`~repro.faults.plan.FAULT_PLANS`, or ``None`` (CLI spelling
       ``none``) for the fault-free baseline cell.
+
+    Each value is checked by applying it to ``RunConfig()``, so it
+    obeys the config's own rules (``cal.jit_hot_threshold`` takes an
+    int, ``cpus`` an int >= 1); only ``duration`` has a rule of its
+    own, because :meth:`RunConfig.scaled` clamps instead of rejecting.
+    A bad value is a :class:`ConfigError`.
     """
 
     name: str
@@ -111,114 +216,20 @@ class SweepAxis:
             raise ConfigError(f"axis {self.name!r} has no values")
         if len(set(self.values)) != len(self.values):
             raise ConfigError(f"axis {self.name!r} repeats a value")
-        if self.name == AXIS_SEED:
-            if not all(isinstance(v, int) and not isinstance(v, bool)
-                       for v in self.values):
-                raise ConfigError("seed axis values must be integers")
-        elif self.name == AXIS_JIT:
-            if not all(isinstance(v, bool) for v in self.values):
-                raise ConfigError("jit axis values must be booleans")
-        elif self.name == AXIS_DURATION:
-            if not all(isinstance(v, (int, float)) and v > 0
-                       for v in self.values):
-                raise ConfigError("duration axis values must be positive")
-        elif self.name == AXIS_CPUS:
-            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                       for v in self.values):
-                raise ConfigError("cpus axis values must be integers >= 1")
-        elif self.name == AXIS_CPU_PROFILE:
-            for v in self.values:
-                if v is None:
-                    continue
-                if not isinstance(v, str):
-                    raise ConfigError(
-                        "cpu_profile axis values must be strings or None"
-                    )
-                profile_cpu_count(v)  # parse-validates the profile
-        elif self.name == AXIS_CAL_PRESET:
-            for v in self.values:
-                if not isinstance(v, str):
-                    raise ConfigError(
-                        "cal.preset axis values must be preset names"
-                    )
-                calibration_preset(v)  # validates the name
-        elif self.name == AXIS_FAULTS:
-            for v in self.values:
-                if v is None:
-                    continue
-                if not isinstance(v, str):
-                    raise ConfigError(
-                        "faults axis values must be plan names or None"
-                    )
-                fault_plan(v)  # validates the name
-        elif self.name.startswith(CAL_PREFIX):
-            cal_field = self.name[len(CAL_PREFIX):]
-            if cal_field not in _CAL_FIELDS:
-                raise ConfigError(
-                    f"unknown calibration field {cal_field!r} in axis "
-                    f"{self.name!r}"
-                )
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in self.values):
-                raise ConfigError(f"axis {self.name!r} values must be numeric")
-        else:
-            raise ConfigError(
-                f"unknown axis {self.name!r}; known: {AXIS_SEED}, {AXIS_JIT}, "
-                f"{AXIS_DURATION}, {AXIS_CPUS}, {AXIS_CPU_PROFILE}, "
-                f"{AXIS_CAL_PRESET}, {AXIS_FAULTS}, {CAL_PREFIX}<field>"
-            )
+        apply = _axis_kind(self.name).apply
+        for value in self.values:
+            apply(RunConfig(), value)
 
     def apply(self, cfg: RunConfig, value: object) -> RunConfig:
         """A config with this axis set to *value*."""
-        if self.name == AXIS_SEED:
-            return replace(cfg, seed=value)
-        if self.name == AXIS_JIT:
-            return replace(cfg, jit_enabled=value)
-        if self.name == AXIS_DURATION:
-            return cfg.scaled(value)
-        if self.name == AXIS_CPUS:
-            # A profile pins its own core count; silently keeping both
-            # would mint a config that only explodes mid-simulation.
-            if cfg.cpu_profile is not None \
-                    and profile_cpu_count(cfg.cpu_profile) != value:
-                raise ConfigError(
-                    f"cpus axis value {value} conflicts with cpu_profile "
-                    f"{cfg.cpu_profile!r} ({profile_cpu_count(cfg.cpu_profile)}"
-                    f" cores); sweep one of the two, not both"
-                )
-            return replace(cfg, cpus=value)
-        if self.name == AXIS_CPU_PROFILE:
-            if value is None:
-                return replace(cfg, cpu_profile=None)
-            # A profile pins the core count too: "2+2" is a 4-core
-            # machine whatever the base config said.
-            return replace(cfg, cpu_profile=value,
-                           cpus=profile_cpu_count(value))
-        if self.name == AXIS_FAULTS:
-            # ``none`` IS the default: the baseline cell keeps the exact
-            # cache key (and bytes) an unswept run of the config has.
-            return replace(
-                cfg, faults=None if value is None else fault_plan(value)
-            )
-        if self.name == AXIS_CAL_PRESET:
-            cal = calibration_preset(value)
-            # ``baseline`` IS the default: canonicalise to None so the
-            # cell shares its cache key with unswept runs of the config.
-            return replace(
-                cfg, calibration=None if cal == Calibration() else cal
-            )
-        base_cal = cfg.calibration if cfg.calibration is not None else Calibration()
-        return replace(
-            cfg,
-            calibration=replace(base_cal, **{self.name[len(CAL_PREFIX):]: value}),
-        )
+        return AXES[self.name].apply(cfg, value)
 
 
 def parse_axis(text: str) -> SweepAxis:
     """Parse a CLI ``name=v1,v2,...`` axis spec.
 
-    ``jit`` accepts ``on/off/true/false``; ``seed`` and ``cpus`` parse
-    integers; ``duration`` and ``cal.*`` parse numbers (int kept when
+    ``jit`` accepts ``on/off/true/false``; ``seed``, ``cpus``,
+    ``duration`` and ``cal.<field>`` parse numbers (int kept when
     exact); ``cpu_profile`` and ``faults`` keep their values as strings,
     with ``none`` naming the symmetric / fault-free default.
     """
@@ -231,32 +242,13 @@ def parse_axis(text: str) -> SweepAxis:
     raw_values = [v.strip() for v in values_text.split(",") if v.strip()]
     if not raw_values:
         raise ConfigError(f"axis spec {text!r} has no values")
-    parsed: list = []
+    parse = _axis_kind(name).parse
+    parsed = []
     for raw in raw_values:
-        if name in (AXIS_CPU_PROFILE, AXIS_FAULTS):
-            parsed.append(None if raw.lower() == "none" else raw)
-        elif name == AXIS_CAL_PRESET:
-            parsed.append(raw)
-        elif name == AXIS_JIT:
-            lowered = raw.lower()
-            if lowered in ("on", "true", "1"):
-                parsed.append(True)
-            elif lowered in ("off", "false", "0"):
-                parsed.append(False)
-            else:
-                raise ConfigError(
-                    f"bad jit value {raw!r}: expected on/off"
-                )
-        else:
-            try:
-                parsed.append(int(raw))
-            except ValueError:
-                try:
-                    parsed.append(float(raw))
-                except ValueError:
-                    raise ConfigError(
-                        f"bad numeric value {raw!r} in axis {name!r}"
-                    ) from None
+        try:
+            parsed.append(parse(raw))
+        except ValueError as exc:
+            raise ConfigError(f"bad {name} value {raw!r}: {exc}") from None
     return SweepAxis(name, tuple(parsed))
 
 

@@ -110,6 +110,22 @@ def test_out_of_range_window_is_a_clean_error(capsys, flags):
     assert "references" not in captured.out
 
 
+@pytest.mark.parametrize("argv", (
+    ["sweep", "--axis", "duration=inf", "--bench", "countdown.main"],
+    ["fleet", "--devices", "4", "--bench-mix", "countdown.main",
+     "--profile-mix", "none=nan,2+2=1"],
+    ["fleet", "--devices", "4", "--bench-mix", "countdown.main",
+     "--scale-mix", "x=1"],
+), ids=("infinite-duration-axis", "nan-mix-weight", "bad-scale-value"))
+def test_bad_axis_or_mix_value_is_a_clean_error(capsys, argv):
+    """``duration=inf`` used to end in an OverflowError traceback, a bad
+    scale in a ValueError one, and a NaN weight ran (exit 0) with every
+    device on the other profile."""
+    assert main(["--duration", "0.2", "--settle-ms", "50", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_faults_report_without_a_headline_plan_has_no_claims(capsys):
     """With neither headline plan swept there is nothing to assert: the
     report stands alone and the command exits 0."""

@@ -496,6 +496,18 @@ class TestFleetFaultMix:
         with pytest.raises(ConfigError, match="warp-core"):
             FleetSpec(devices=4, fault_mix=(("warp-core", 1.0),))
 
+    def test_none_draws_keep_the_base_plan_and_machine(self):
+        """``--faults chaos fleet ...`` with the default all-none fault
+        and profile mixes runs chaos on every device's base machine."""
+        base = RunConfig(
+            duration_ticks=millis(400), settle_ticks=millis(200),
+            cpus=4, cpu_profile="2+2", faults=fault_plan("chaos"),
+        )
+        for device in FleetSpec(devices=8, base=base).sample():
+            assert device.config.faults == fault_plan("chaos")
+            assert device.config.cpu_profile == "2+2"
+            assert device.config.cpus == 4
+
 
 # ----------------------------------------------------------------------
 # Analysis: the absorbed-vs-amplified report and headline claims
@@ -549,6 +561,19 @@ class TestFaultAnalysis:
         assert row.verdict == "absorbed"
         with pytest.raises(AnalysisError, match="binder-flaky.*sf-kill"):
             evaluate_fault_claims(sweep)
+
+    def test_report_labels_contexts_as_variants_do(self):
+        """The context column used to print raw values (``jit=True``)
+        where the variant labels and delta tables print ``jit=on``."""
+        sweep = SweepRunner(backend=SerialBackend()).run(SweepSpec(
+            benches=("999.specrand",),
+            axes=(SweepAxis("jit", (True, False)),
+                  SweepAxis("faults", (None, "binder-flaky"))),
+            base=FAST,
+        ))
+        rows = fault_report(sweep)
+        assert [row.context for row in rows] == ["jit=on", "jit=off"]
+        assert "jit=off" in render_fault_report(rows)
 
     def test_report_needs_a_faults_axis(self):
         sweep = SweepRunner(backend=SerialBackend()).run(SweepSpec(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import weakref
 
 import pytest
@@ -120,6 +121,14 @@ class TestFleetSpec:
         with pytest.raises(ConfigError):
             FleetSpec(devices=1, capacity=0)
 
+    @pytest.mark.parametrize("weight", (math.nan, math.inf, True))
+    def test_mix_weights_are_positive_finite_numbers(self, weight):
+        """A NaN or infinite weight used to pass: ``_pick``'s cumulative
+        scan never passes it, so ``none=nan,2+2=1`` put every device on
+        2+2."""
+        with pytest.raises(ConfigError, match="profile mix weights"):
+            FleetSpec(devices=8, profile_mix=((None, weight), ("2+2", 1.0)))
+
     def test_parse_mix(self):
         assert parse_mix("a=2,b=1") == (("a", 2.0), ("b", 1.0))
         assert parse_mix("a,b") == (("a", 1.0), ("b", 1.0))
@@ -128,6 +137,8 @@ class TestFleetSpec:
             parse_mix("")
         with pytest.raises(ConfigError):
             parse_mix("a=x")
+        with pytest.raises(ConfigError):
+            parse_mix("x=1", float)     # was a bare ValueError
 
 
 # ----------------------------------------------------------------------

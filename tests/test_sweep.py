@@ -9,9 +9,13 @@ runs), and round-trips through JSON.
 from __future__ import annotations
 
 import json
+import math
 import os
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.calibration import Calibration
 from repro.core import (
@@ -84,12 +88,59 @@ class TestAxes:
         with pytest.raises(ConfigError):
             SweepAxis("duration", (0.0, 1.0))  # zero-length window
 
+    @pytest.mark.parametrize("name,value", (
+        ("duration", math.inf), ("duration", math.nan), ("duration", True),
+        ("duration", 0), ("duration", -1),
+        ("seed", "x"), ("seed", 1.5), ("seed", True),
+        ("cpus", 0), ("cpus", 1.5), ("cpus", True),
+        ("jit", 1),
+        ("cpu_profile", 4), ("cpu_profile", "nonsense"),
+        ("cal.preset", "turbo"), ("cal.preset", 5),
+        ("faults", "warp-core"),
+        ("cal.sf_insts_per_pixel", -5.0), ("cal.sf_insts_per_pixel", "x"),
+        ("cal.jit_hot_threshold", 2.5),
+        pytest.param("cal.jit_hot_threshold", 10**400,
+                     id="cal.jit_hot_threshold-10**400"),
+    ))
+    def test_axis_values_obey_the_configs_rules(self, name, value):
+        """An axis value is checked by the rules of the config it sets.
+        ``duration=inf`` used to pass and end in an OverflowError; a True
+        duration, a negative cost and a float for an int field passed
+        too; an int past the float range overflowed in Calibration."""
+        with pytest.raises(ConfigError):
+            SweepAxis(name, (value,))
+        if (name, value) != ("jit", 1):    # on the CLI, jit=1 spells on
+            with pytest.raises(ConfigError):
+                parse_axis(f"{name}={value}")
+
     def test_spec_rejects_duplicate_axes_and_empty_benches(self):
         with pytest.raises(ConfigError):
             SweepSpec(benches=BENCHES,
                       axes=(SweepAxis("seed", (1,)), SweepAxis("seed", (2,))))
         with pytest.raises(ConfigError):
             SweepSpec(benches=())
+
+
+@given(
+    name=st.sampled_from((
+        "seed", "jit", "duration", "cpus", "cpu_profile", "cal.preset",
+        "faults", *(f"cal.{f.name}" for f in fields(Calibration)),
+    )),
+    value=st.one_of(
+        st.integers(), st.floats(), st.booleans(), st.none(), st.text()
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_an_axis_value_is_a_config_error_or_a_variant(name, value):
+    """Any value, given in code or as CLI text, either raises
+    ConfigError or builds the grid's variant, never another error."""
+    for build in (lambda: SweepAxis(name, (value,)),
+                  lambda: parse_axis(f"{name}={value}")):
+        try:
+            axis = build()
+        except ConfigError:
+            continue
+        SweepSpec(benches=("countdown.main",), axes=(axis,)).variants()
 
 
 # ----------------------------------------------------------------------
