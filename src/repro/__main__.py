@@ -149,6 +149,14 @@ def _make_runner(args: argparse.Namespace) -> SuiteRunner:
     )
 
 
+def _check_out(args: argparse.Namespace) -> None:
+    """Fail on an unwritable ``--out`` now, not after every unit has run."""
+    from repro.core.results import check_writable
+
+    if args.out:
+        check_writable(args.out)
+
+
 def _progress_printer(
     args: argparse.Namespace,
     label: "Callable[[object], str]" = str,
@@ -214,6 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
+    _check_out(args)
     suite = runner.run_suite(
         ids=args.bench or None, progress=_progress_printer(args)
     )
@@ -227,14 +236,24 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Run a grid as a streaming fold: each completed run is written to
+    ``--out`` (in grid order, whatever order runs complete in) and
+    measured, then dropped, so memory holds one pool window of runs
+    plus one value per cell however large the grid."""
+    from contextlib import nullcontext
+    from operator import attrgetter
+
     from repro.analysis.render import render_sweep_table
     from repro.analysis.sweep import resolve_metric, sweep_tables
     from repro.core.backends import make_backend
+    from repro.core.runner import execute_with_cache
     from repro.core.suite import benchmarks
-    from repro.core.sweep import SweepRunner, SweepSpec, parse_axis
+    from repro.core.sweep import SweepRunner, SweepSpec, parse_axis, write_sweep
 
-    resolve_metric(args.metric)  # reject a typo'd metric before simulating
+    metric = resolve_metric(args.metric)  # reject a typo'd metric first
     axes = tuple(parse_axis(text) for text in args.axis or [])
+    # Without axes there is no delta table: the listing shows references.
+    measure = metric if axes else attrgetter("total_refs")
     ids = args.bench or [spec.bench_id for spec in benchmarks()]
     spec = SweepSpec(benches=tuple(ids), axes=axes, base=_config(args))
     runner = SweepRunner(
@@ -242,19 +261,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cache=_make_cache(args),
         shard=_shard(args),
     )
-    result = runner.run(
-        spec,
-        progress=_progress_printer(args, label=lambda p: p.label, width=40),
-    )
+    grid, _points, owned = runner.plan(spec)
+    progress = _progress_printer(args, label=lambda p: p.label, width=40)
+    values: "dict[tuple[str, str], float]" = {}
+    keys = [(point.bench_id, point.variant) for point in owned]
+    # Opening the writer checks --out before any unit runs.
+    writing = write_sweep(args.out, grid, keys) if args.out else nullcontext()
+    with writing as writer:
+
+        def on_done(point, elapsed: "float | None", run: RunResult) -> None:
+            if writer is not None:
+                writer.add(point.bench_id, point.variant, run)
+            values[(point.bench_id, point.variant)] = measure(run)
+            if progress is not None:
+                progress(point, elapsed, run)
+
+        execute_with_cache(runner.backend, runner.cache, owned, on_done)
     if args.out:
-        result.save(args.out)
-        print(f"saved {len(result.runs)} sweep cells to {args.out}")
+        print(f"saved {len(owned)} sweep cells to {args.out}")
     if axes:
-        for table in sweep_tables(result, metric=args.metric):
+        for table in sweep_tables(grid, metric=args.metric, values=values):
             print(render_sweep_table(table))
     elif not args.out:
-        for (bench_id, variant), run in result.runs.items():
-            print(f"{bench_id:<22} [{variant}] {run.total_refs:>15,} refs")
+        for point in owned:
+            refs = values[(point.bench_id, point.variant)]
+            print(f"{point.bench_id:<22} [{point.variant}] {refs:>15,} refs")
     return 0
 
 
@@ -284,6 +315,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         runner = SweepRunner(
             backend=make_backend(args.jobs), cache=_make_cache(args)
         )
+        _check_out(args)
         result = runner.run(
             spec,
             progress=_progress_printer(args, label=lambda p: p.label,
@@ -357,6 +389,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     make_progress = None
     if args.progress:
         make_progress = partial(ProgressMeter, every=args.progress_every)
+    _check_out(args)
     result = run_fleet(
         spec,
         backend=make_backend(args.jobs),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping, TypeVar
 
 from repro.core.sweep import format_axis_value, variant_label
 from repro.errors import AnalysisError
@@ -20,6 +20,8 @@ from repro.errors import AnalysisError
 if TYPE_CHECKING:
     from repro.core.results import RunResult
     from repro.core.sweep import SweepResult
+
+_T = TypeVar("_T")
 
 #: Named metrics a delta table can pivot on.
 METRICS: "dict[str, Callable[[RunResult], float]]" = {
@@ -118,36 +120,50 @@ def _deltas(metrics: "tuple[float, ...]") -> "tuple[float, ...]":
 
 
 def pivot(
-    result: "SweepResult", axis: str
-) -> "list[tuple[str, dict[str, object], dict[object, RunResult]]]":
+    result: "SweepResult",
+    axis: str,
+    cells: "Mapping[tuple[str, str], _T] | None" = None,
+) -> "list[tuple[str, dict[str, object], dict[object, _T]]]":
     """The grid seen along *axis*: ``(bench_id, other-axis values,
-    {axis value: run})`` for every benchmark and every combination of
-    the other axes, in grid order.  A cell the result lacks (an unmerged
-    shard, a partial grid) is absent from its dict."""
+    {axis value: cell})`` for every benchmark and every combination of
+    the other axes, in grid order.
+
+    *cells* maps ``(bench_id, variant)`` to what each cell holds: by
+    default the runs of *result*, or one value per cell kept by a caller
+    that did not keep the runs.  A cell it lacks (an unmerged shard, a
+    partial grid) is absent from its dict."""
     if axis not in result.axes:
         raise AnalysisError(
             f"no axis {axis!r} in sweep; swept: {', '.join(result.axes) or '-'}"
         )
+    if cells is None:
+        cells = result.runs
     order = list(result.axes)
     others = [name for name in order if name != axis]
     out = []
     for bench_id in result.benches():
         for combo in itertools.product(*(result.axes[name] for name in others)):
             fixed = dict(zip(others, combo))
-            cells = {}
+            row = {}
             for value in result.axes[axis]:
-                label = variant_label({**fixed, axis: value}, order)
-                run = result.runs.get((bench_id, label))
-                if run is not None:
-                    cells[value] = run
-            out.append((bench_id, fixed, cells))
+                key = (bench_id, variant_label({**fixed, axis: value}, order))
+                if key in cells:
+                    row[value] = cells[key]
+            out.append((bench_id, fixed, row))
     return out
 
 
 def axis_table(
-    result: "SweepResult", axis: str, metric: str = "total_refs"
+    result: "SweepResult",
+    axis: str,
+    metric: str = "total_refs",
+    values: "Mapping[tuple[str, str], float] | None" = None,
 ) -> SweepTable:
     """Pivot *metric* along *axis*, one row per (bench, other-axis combo).
+
+    *values* holds *metric* of each ``(bench_id, variant)`` cell when
+    the caller measured it already (the CLI sweep keeps one value per
+    cell, not the runs); by default each run of *result* is measured.
 
     Rows with missing cells are dropped rather than raised: a sharded
     sweep holds only its slice of the grid, and a delta is only
@@ -156,13 +172,15 @@ def axis_table(
     to get the full table).  The drop is counted, never silent — the
     table carries :attr:`SweepTable.dropped` and renderers report it.
     """
-    groups = pivot(result, axis)
-    measure = resolve_metric(metric)
+    if values is None:
+        measure = resolve_metric(metric)
+        values = {key: measure(run) for key, run in result.runs.items()}
+    groups = pivot(result, axis, values)
     rows = []
     for bench_id, fixed, cells in groups:
         if len(cells) != len(result.axes[axis]):
             continue
-        metrics = tuple(measure(run) for run in cells.values())
+        metrics = tuple(cells.values())
         rows.append(
             SweepRow(
                 bench_id=bench_id,
@@ -183,7 +201,10 @@ def axis_table(
 
 
 def sweep_tables(
-    result: "SweepResult", metric: str = "total_refs"
+    result: "SweepResult",
+    metric: str = "total_refs",
+    values: "Mapping[tuple[str, str], float] | None" = None,
 ) -> list[SweepTable]:
-    """One delta table per swept axis, in declaration order."""
-    return [axis_table(result, axis, metric) for axis in result.axes]
+    """One delta table per swept axis, in declaration order (*values* as
+    for :func:`axis_table`)."""
+    return [axis_table(result, axis, metric, values) for axis in result.axes]

@@ -192,15 +192,8 @@ _LITTLE_SPEC = CpuSpec(
 )
 
 
-def parse_cpu_profile(profile: str) -> tuple[CpuSpec, ...]:
-    """Expand a ``"B+L"`` big.LITTLE profile into per-CPU specs.
-
-    ``"4+4"`` is four big cores followed by four LITTLE cores (big cores
-    take the low CPU ids, matching the common vendor numbering); ``"2+2"``
-    is the classic quad big.LITTLE half.  ``"0+4"`` (all LITTLE) and
-    ``"4+0"`` (all big, i.e. symmetric speeds but scheduled by the CFS
-    queue) are valid degenerate forms.
-    """
+def _core_counts(profile: str) -> "tuple[int, int]":
+    """The big and LITTLE core counts of a ``"B+L"`` profile, checked."""
     if not isinstance(profile, str) or "+" not in profile:
         raise ConfigError(
             f"bad cpu profile {profile!r}: expected BIG+LITTLE core counts "
@@ -217,10 +210,24 @@ def parse_cpu_profile(profile: str) -> tuple[CpuSpec, ...]:
         raise ConfigError(
             f"bad cpu profile {profile!r}: needs at least one core"
         )
+    return big, little
+
+
+def parse_cpu_profile(profile: str) -> tuple[CpuSpec, ...]:
+    """Expand a ``"B+L"`` big.LITTLE profile into per-CPU specs.
+
+    ``"4+4"`` is four big cores followed by four LITTLE cores (big cores
+    take the low CPU ids, matching the common vendor numbering); ``"2+2"``
+    is the classic quad big.LITTLE half.  ``"0+4"`` (all LITTLE) and
+    ``"4+0"`` (all big, i.e. symmetric speeds but scheduled by the CFS
+    queue) are valid degenerate forms.
+    """
+    big, little = _core_counts(profile)
     return (_BIG_SPEC,) * big + (_LITTLE_SPEC,) * little
 
 
 def profile_cpu_count(profile: str) -> int:
-    """The number of cores a profile describes."""
-    return len(parse_cpu_profile(profile))
+    """The number of cores a profile describes (counted, not expanded:
+    every config check calls this before it can reject a huge profile)."""
+    return sum(_core_counts(profile))
 

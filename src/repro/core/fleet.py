@@ -29,7 +29,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.calibration import calibration_preset
 from repro.core.backends.sharded import shard_ids
-from repro.core.results import ResultCache, RunResult, load_json_file
+from repro.core.results import (
+    ResultCache,
+    RunResult,
+    atomic_file,
+    load_json_file,
+)
 from repro.core.runner import RunConfig, execute_with_cache
 from repro.core.stats import (
     DEFAULT_SAMPLE_CAPACITY,
@@ -45,6 +50,7 @@ from repro.core.sweep import (
     with_calibration,
 )
 from repro.errors import AnalysisError, ConfigError
+from repro.jsonform import check_fields
 
 if TYPE_CHECKING:
     from repro.core.backends import ExecutionBackend
@@ -187,6 +193,14 @@ class FleetSpec:
     fault_mix: tuple = ((None, 1.0),)
 
     def __post_init__(self) -> None:
+        # The counts by the JSON decoder's rules: a float or a bool (True
+        # would sample one device) is a ConfigError naming the field.
+        check_fields(
+            {name: getattr(self, name)
+             for name in ("devices", "seed", "capacity")},
+            FleetSpec,
+            "fleet",
+        )
         if self.devices < 1:
             raise ConfigError(
                 f"fleet needs devices >= 1, got {self.devices}"
@@ -424,8 +438,9 @@ class FleetResult:
 
     def save(self, path: str) -> None:
         """Write canonical JSON (sorted keys: equal results are equal
-        bytes, which is what the sharded-equivalence CI check compares)."""
-        with open(path, "w", encoding="utf-8") as fh:
+        bytes, which is what the sharded-equivalence CI check compares);
+        the file appears whole or not at all (:func:`atomic_file`)."""
+        with atomic_file(path) as fh:
             json.dump(self.to_json_dict(), fh, sort_keys=True)
 
     @classmethod

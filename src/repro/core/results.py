@@ -19,7 +19,7 @@ import re
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from repro.errors import AnalysisError, ConfigError, ReproError
 
@@ -59,6 +59,51 @@ def load_json_file(path: str, what: str, decode: "Callable[[dict], _T]") -> _T:
         ) from None
     except (TypeError, ValueError, AttributeError, ReproError) as exc:
         raise ConfigError(f"{path} is not a saved {what}: {exc}") from None
+
+
+def _open_private(path: str) -> "tuple[str, TextIO]":
+    """Open a tmp file beside *path*, private to this writer, as
+    ``(tmp path, file)``.  A *path* no file can be published at is a
+    :class:`ConfigError` naming it."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    tmp = _tmp_path(path)
+    try:
+        return tmp, open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def atomic_file(path: str) -> "Iterator[TextIO]":
+    """A text file that appears at *path* whole or not at all.
+
+    The block writes ``<path>.tmp.<pid>.<tid>``, which ``os.replace``
+    publishes when the block completes and which is unlinked when it
+    raises, so a reader (or a later run) never sees a torn file.  A
+    *path* that cannot be written fails on entry, before the block runs,
+    as a :class:`ConfigError` naming it.
+    """
+    tmp, fh = _open_private(path)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        # The pid in the name is this live process, so nothing else
+        # would ever clean the dropping up.
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def check_writable(path: str) -> None:
+    """Raise the :class:`ConfigError` :func:`atomic_file` would raise for
+    *path*: a command checks its ``--out`` this way before it simulates
+    anything, instead of failing once every unit has run."""
+    tmp, fh = _open_private(path)
+    fh.close()
+    os.unlink(tmp)
 
 
 def dump_streamed(fh, head: str, items: "Iterable[str]", tail: str) -> None:
@@ -409,8 +454,9 @@ class SuiteResult:
 
     def save(self, path: str) -> None:
         """Write all runs to a JSON file, a ``{bench_id: run}`` object,
-        encoding one run at a time."""
-        with open(path, "w", encoding="utf-8") as fh:
+        encoding one run at a time; the file appears whole or not at
+        all (:func:`atomic_file`)."""
+        with atomic_file(path) as fh:
             dump_streamed(fh, "{", (
                 f"{json.dumps(bid)}: {json.dumps(run.to_json_dict())}"
                 for bid, run in self.runs.items()
@@ -537,27 +583,13 @@ class ResultCache:
         return result
 
     def put(self, bench_id: str, cfg: "RunConfig", result: RunResult) -> None:
-        """Store one completed run (atomically, for concurrent writers).
-
-        A failed write unlinks its tmp file before re-raising: the pid
-        in the tmp name is *this* process, so :meth:`sweep_stale_tmp`
-        would rightly refuse to clean it up for as long as we live —
-        the dropping would outlast every sweep until exit.
-        """
-        path = self._path(bench_id, cfg)
-        tmp = _tmp_path(path)
-        try:
-            # json.dumps (the C encoder) writes the bytes json.dump(x, fh)
-            # (the pure-Python one) would, about twice as fast.  It builds
-            # the whole text first: cheap for one result; the savers of
-            # whole suites and sweeps stream it one run at a time.
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(result.to_json_dict()))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        os.replace(tmp, path)
+        """Store one completed run (atomically, for concurrent writers)."""
+        # json.dumps (the C encoder) writes the bytes json.dump(x, fh)
+        # (the pure-Python one) would, about twice as fast.  It builds the
+        # whole text first: cheap for one result; the savers of whole
+        # suites and sweeps stream it one run at a time.
+        with atomic_file(self._path(bench_id, cfg)) as fh:
+            fh.write(json.dumps(result.to_json_dict()))
 
     def __len__(self) -> int:
         return len(self._entry_names())

@@ -16,18 +16,27 @@ re-running an enlarged sweep only simulates the new cells.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    TextIO,
+)
 
 from repro.calibration import Calibration, calibration_preset, profile_cpu_count
 from repro.core.backends.sharded import shard_ids
 from repro.core.results import (
     ResultCache,
     RunResult,
-    dump_streamed,
+    atomic_file,
     load_json_file,
 )
 from repro.core.runner import RunConfig, dedup_ids, execute_with_cache
@@ -454,14 +463,16 @@ class SweepResult:
             "benches": list(self.bench_ids),
         }
 
-    def _cells(self) -> "Iterable[dict]":
-        for (bid, var), run in self.runs.items():
-            yield {"bench_id": bid, "variant": var, "run": run.to_json_dict()}
-
     def to_json_dict(self) -> dict:
         """Plain-JSON representation (cells as an ordered list, since
         tuple keys don't survive JSON)."""
-        return {**self._header(), "cells": list(self._cells())}
+        return {
+            **self._header(),
+            "cells": [
+                _cell_json(bench_id, variant, run)
+                for (bench_id, variant), run in self.runs.items()
+            ],
+        }
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "SweepResult":
@@ -482,16 +493,86 @@ class SweepResult:
         return out
 
     def save(self, path: str) -> None:
-        """Write the sweep to a JSON file, encoding one cell at a time."""
-        # The header's closing brace gives way to the cells list.
-        head = json.dumps(self._header())[:-1] + ', "cells": ['
-        with open(path, "w", encoding="utf-8") as fh:
-            dump_streamed(fh, head, map(json.dumps, self._cells()), "]}")
+        """Write the sweep to a JSON file through :func:`write_sweep`,
+        encoding one cell at a time."""
+        with write_sweep(path, self, self.runs) as writer:
+            for (bench_id, variant), run in self.runs.items():
+                writer.add(bench_id, variant, run)
 
     @classmethod
     def load(cls, path: str) -> "SweepResult":
         """Read a sweep back from :meth:`save` output."""
         return load_json_file(path, "sweep result", cls.from_json_dict)
+
+
+def _cell_json(bench_id: str, variant: str, run: RunResult) -> dict:
+    return {"bench_id": bench_id, "variant": variant, "run": run.to_json_dict()}
+
+
+class SweepWriter:
+    """Writes a sweep file's cells in grid order as they complete, in
+    whatever order that is.
+
+    Built on an open file, it writes the header of *grid* (a
+    :class:`SweepResult`, whose cells it ignores) at once.  :meth:`add`
+    encodes a cell and appends it as soon as every earlier cell of
+    *keys* (the ``(bench_id, variant)`` cells the file holds, in grid
+    order) has been written; a cell that arrives early waits as encoded
+    text only.  So the file costs no more memory than the cells reported
+    out of order, and it holds the bytes ``json.dump`` writes for
+    :meth:`SweepResult.to_json_dict` of the same cells.
+    """
+
+    def __init__(
+        self,
+        fh: TextIO,
+        grid: SweepResult,
+        keys: "Iterable[tuple[str, str]]",
+    ) -> None:
+        self._fh = fh
+        self._position = {key: i for i, key in enumerate(keys)}
+        self._written = 0
+        #: Position -> encoded text of each cell that arrived early.
+        self._early: "dict[int, str]" = {}
+        # The header's closing brace gives way to the cells list.
+        fh.write(json.dumps(grid._header())[:-1] + ', "cells": [')
+
+    def add(self, bench_id: str, variant: str, run: RunResult) -> None:
+        """Encode one cell and write every cell now in grid order."""
+        self._early[self._position[(bench_id, variant)]] = json.dumps(
+            _cell_json(bench_id, variant, run)
+        )
+        while self._written in self._early:
+            if self._written:
+                self._fh.write(", ")
+            self._fh.write(self._early.pop(self._written))
+            self._written += 1
+
+    def close(self) -> None:
+        """Close the cells list, once every cell has been written."""
+        if self._written != len(self._position):
+            raise AnalysisError(
+                f"sweep file got {self._written} of its "
+                f"{len(self._position)} cells in grid order"
+            )
+        self._fh.write("]}")
+
+
+@contextlib.contextmanager
+def write_sweep(
+    path: str, grid: SweepResult, keys: "Iterable[tuple[str, str]]"
+) -> "Iterator[SweepWriter]":
+    """A :class:`SweepWriter` for the file *path*, published atomically.
+
+    Entering checks *path* and writes the header (an unwritable path is
+    a :class:`~repro.errors.ConfigError` before the block runs); the
+    file appears when the block completes with every cell of *keys*
+    added, and not at all if it raises.
+    """
+    with atomic_file(path) as fh:
+        writer = SweepWriter(fh, grid, keys)
+        yield writer
+        writer.close()
 
 
 #: Sweep progress callback: ``(point, elapsed_seconds, result)`` with
@@ -516,7 +597,8 @@ class SweepRunner:
     :func:`~repro.core.runner.execute_with_cache` and folds each result
     into a :class:`SweepResult` as it arrives.  A caller that wants
     another reduction passes the planned points to ``execute_with_cache``
-    with its own callback.
+    with its own callback, as ``repro sweep`` does to write its file
+    through :func:`write_sweep` without holding the runs.
     """
 
     def __init__(
@@ -533,12 +615,13 @@ class SweepRunner:
 
     def plan(
         self, spec: SweepSpec
-    ) -> "tuple[list[tuple[str, dict[str, object], RunConfig]], list[SweepPoint], list[SweepPoint]]":
+    ) -> "tuple[SweepResult, list[SweepPoint], list[SweepPoint]]":
         """Expand the grid and settle ownership.
 
-        Returns ``(variants, points, owned)``: the variant table, the
-        full canonical grid, and this runner's shard of it (the full
-        grid unless *shard* is set).  Planning happens before cache
+        Returns ``(grid, points, owned)``: the grid's :class:`SweepResult`
+        with no cells yet (its axes, variants and benchmark order), the
+        full canonical grid of points, and this runner's shard of it (the
+        full grid unless *shard* is set).  Planning happens before cache
         filtering, so shard partitions never shift with cache contents.
         """
         variants = spec.variants()
@@ -546,7 +629,14 @@ class SweepRunner:
         owned = points
         if self.shard is not None:
             owned = list(shard_ids(points, *self.shard))
-        return variants, points, owned
+        grid = SweepResult(
+            axes={axis.name: list(axis.values) for axis in spec.axes},
+            variant_values={
+                label: dict(values) for label, values, _ in variants
+            },
+            bench_ids=list(dict.fromkeys(p.bench_id for p in points)),
+        )
+        return grid, points, owned
 
     def run(
         self, spec: SweepSpec, progress: SweepProgress | None = None
@@ -557,7 +647,7 @@ class SweepRunner:
         racing ahead); the result lists them in canonical grid order,
         so its bytes do not depend on the order execution took.
         """
-        variants, points, owned = self.plan(spec)
+        out, _points, owned = self.plan(spec)
         runs: "dict[tuple[str, str], RunResult]" = {}
 
         def on_done(
@@ -568,13 +658,6 @@ class SweepRunner:
                 progress(point, elapsed, run)
 
         execute_with_cache(self.backend, self.cache, owned, on_done)
-        out = SweepResult(
-            axes={axis.name: list(axis.values) for axis in spec.axes},
-            variant_values={
-                label: dict(values) for label, values, _ in variants
-            },
-            bench_ids=list(dict.fromkeys(p.bench_id for p in points)),
-        )
         for point in owned:
             out.add(
                 point.bench_id,

@@ -13,6 +13,7 @@ report ``elapsed=None`` no matter which thread delivers them.
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -28,7 +29,9 @@ from repro.core import (
     SweepRunner,
     SweepSpec,
 )
+from repro.__main__ import main
 from repro.core.runner import execute_one
+from repro.core.sweep import SweepResult
 from repro.sim.ticks import millis
 
 FAST = RunConfig(duration_ticks=millis(400), settle_ticks=millis(200))
@@ -43,6 +46,10 @@ SWEEP_SPEC = SweepSpec(
     axes=(SweepAxis("jit", (True, False)), SweepAxis("seed", (1, 2))),
     base=FAST,
 )
+#: ``repro sweep`` over SWEEP_SPEC's grid.
+SWEEP_ARGV = ["--duration", "0.4", "--settle-ms", "200", "sweep",
+              "--axis", "jit=on,off", "--axis", "seed=1,2",
+              "--bench", "countdown.main", "--bench", "999.specrand"]
 #: The cpu_profile x cpus differential row: one grid whose cells span
 #: the symmetric single-core baseline (round-robin policy), a 1+1 and a
 #: 2+2 big.LITTLE machine (CFS policy) — each profile pins its own core
@@ -64,6 +71,10 @@ def _make(name: str):
         return SerialBackend()
     if name == "pool":
         return AsyncBackend(jobs=2)
+    if name == "reversed":
+        return ReorderingBackend()
+    if name == "shuffled":
+        return ReorderingBackend(lambda n: random.Random(7).sample(range(n), n))
     raise AssertionError(name)
 
 
@@ -185,6 +196,39 @@ class TestSweepMatrix:
             SweepRunner(backend=_make(inner), shard=(k, 2)).run(SWEEP_SPEC)
             for k in (1, 2)
         ]
+        merged = shards[0]
+        merged.merge(shards[1])
+        assert _sweep_bytes(merged, tmp_path / "out.json") == serial_sweep_bytes
+
+    @pytest.mark.parametrize("warmth", WARMTH)
+    @pytest.mark.parametrize("name", BACKENDS + ("reversed", "shuffled"))
+    def test_cli_streams_the_saved_bytes(
+        self, name, warmth, serial_sweep_bytes, tmp_path, monkeypatch
+    ):
+        """``repro sweep --out`` writes each cell as it completes: cache
+        hits ahead of misses, and misses out of pull order.  The file
+        still holds the bytes ``SweepResult.save`` writes."""
+        cache_dir = _warm_sweep_cache(tmp_path, warmth)
+        monkeypatch.setattr("repro.core.backends.make_backend",
+                            lambda jobs: _make(name))
+        out = tmp_path / "out.json"
+        cache = ["--cache", cache_dir] if cache_dir else []
+        assert main(SWEEP_ARGV + cache + ["--out", str(out)]) == 0
+        assert out.read_bytes() == serial_sweep_bytes
+
+    @pytest.mark.parametrize("inner", BACKENDS)
+    def test_cli_shard_files_merge_byte_identical(
+        self, inner, serial_sweep_bytes, tmp_path, monkeypatch
+    ):
+        cache_dir = _warm_sweep_cache(tmp_path, "partial")
+        monkeypatch.setattr("repro.core.backends.make_backend",
+                            lambda jobs: _make(inner))
+        shards = []
+        for k in (1, 2):
+            out = tmp_path / f"shard{k}.json"
+            assert main(SWEEP_ARGV + ["--cache", cache_dir, "--shard",
+                                      f"{k}/2", "--out", str(out)]) == 0
+            shards.append(SweepResult.load(str(out)))
         merged = shards[0]
         merged.merge(shards[1])
         assert _sweep_bytes(merged, tmp_path / "out.json") == serial_sweep_bytes
@@ -389,18 +433,23 @@ class TestFullSuite:
 # (d) BatchProgress ordering under out-of-order completion
 
 
-class ReversingBackend(SerialBackend):
-    """Reports completions in *reverse* pull order — a deterministic
-    stand-in for a pool's arbitrary completion order."""
+class ReorderingBackend(SerialBackend):
+    """Reports completions in the order ``order(n)`` lists the *n* pull
+    indices, reverse pull order by default — a deterministic stand-in
+    for a pool's arbitrary completion order."""
 
-    name = "reversing"
+    name = "reordering"
+
+    def __init__(self, order=lambda n: reversed(range(n))) -> None:
+        super().__init__()
+        self.order = order
 
     def execute_stream(self, items, on_result):
         runs = []
         for bench_id, cfg in items:
             runs.append(execute_one(bench_id, cfg))
             self.executed.append(bench_id)
-        for index in reversed(range(len(runs))):
+        for index in self.order(len(runs)):
             on_result(index, 0.25, runs[index])
 
 
@@ -414,7 +463,7 @@ class TestProgressOrdering:
 
         events = []
         suite = SuiteRunner(
-            FAST, backend=ReversingBackend(), cache=ResultCache(root)
+            FAST, backend=ReorderingBackend(), cache=ResultCache(root)
         ).run_suite(
             SUITE_IDS,
             progress=lambda bid, secs, res: events.append((bid, secs, res)),
@@ -429,7 +478,7 @@ class TestProgressOrdering:
     def test_reversed_completion_sweep_matches_serial_bytes(
         self, serial_sweep_bytes, tmp_path
     ):
-        sweep = SweepRunner(backend=ReversingBackend()).run(SWEEP_SPEC)
+        sweep = SweepRunner(backend=ReorderingBackend()).run(SWEEP_SPEC)
         assert _sweep_bytes(sweep, tmp_path / "out.json") == serial_sweep_bytes
 
     def test_pool_progress_indices_address_pull_order(self):

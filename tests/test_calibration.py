@@ -95,3 +95,24 @@ def test_calibration_override_through_runconfig():
     cheap_sf = cheap.refs_by_thread.get(("system_server", "SurfaceFlinger"), 0)
     costly_sf = expensive.refs_by_thread.get(("system_server", "SurfaceFlinger"), 0)
     assert costly_sf > cheap_sf
+
+
+def test_counting_a_huge_profile_allocates_nothing():
+    """The core count comes from the profile's two integers.  Counting
+    used to expand one CpuSpec per core: 76 MB for ``10000000+0``, paid
+    by every config check before it could reject the profile."""
+    import tracemalloc
+
+    from repro.calibration import profile_cpu_count
+    from repro.core.runner import RunConfig
+    from repro.errors import ConfigError
+
+    tracemalloc.start()
+    try:
+        assert profile_cpu_count("10000000+0") == 10_000_000
+        with pytest.raises(ConfigError, match="describes 10000000 cores"):
+            RunConfig(cpus=1, cpu_profile="10000000+0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

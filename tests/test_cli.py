@@ -134,3 +134,21 @@ def test_faults_report_without_a_headline_plan_has_no_claims(capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "cache-storm" in out and "claims hold" not in out
+
+
+@pytest.mark.parametrize("command", (
+    ["suite", "--bench", "countdown.main"],
+    ["sweep", "--axis", "seed=1,2", "--bench", "countdown.main"],
+    ["faults", "--bench", "countdown.main", "--plan", "sf-kill"],
+    ["fleet", "--devices", "2", "--bench-mix", "countdown.main"],
+), ids=("suite", "sweep", "faults", "fleet"))
+def test_unwritable_out_fails_before_any_unit_runs(tmp_path, capsys, command):
+    """An --out in a missing directory used to surface as a
+    FileNotFoundError traceback once every unit had run."""
+    out = tmp_path / "missing" / "x.json"
+    argv = ["--duration", "0.05", "--settle-ms", "50", *command,
+            "--progress", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}" in captured.err
+    assert captured.out == ""           # no progress line: nothing ran

@@ -121,6 +121,14 @@ class TestFleetSpec:
         with pytest.raises(ConfigError):
             FleetSpec(devices=1, capacity=0)
 
+    @pytest.mark.parametrize("value", (2.5, True))
+    @pytest.mark.parametrize("name", ("devices", "seed", "capacity"))
+    def test_counts_are_ints(self, name, value):
+        """``devices=2.5`` used to raise a bare TypeError when sampled,
+        and ``devices=True`` sampled one device."""
+        with pytest.raises(ConfigError, match=f"fleet field {name} must be"):
+            FleetSpec(**{"devices": 4, name: value})
+
     @pytest.mark.parametrize("weight", (math.nan, math.inf, True))
     def test_mix_weights_are_positive_finite_numbers(self, weight):
         """A NaN or infinite weight used to pass: ``_pick``'s cumulative

@@ -376,6 +376,21 @@ def test_put_unlinks_tmp_when_json_dump_fails_midwrite(tmp_path):
     assert cache.get("x", RunConfig()) is None
 
 
+def test_suite_save_publishes_whole_or_not_at_all(tmp_path):
+    """A save that fails midway leaves the previous file as it was and
+    no tmp file beside it."""
+    path = tmp_path / "suite.json"
+    path.write_text("previous")
+    good = RunResult(bench_id="a", benchmark_comm="a", duration_ticks=1,
+                     seed=1)
+    bad = ExplodingResult(bench_id="b", benchmark_comm="b",
+                          duration_ticks=1, seed=1)
+    with pytest.raises(RuntimeError, match="boom"):
+        SuiteResult(runs={"a": good, "b": bad}).save(str(path))
+    assert os.listdir(tmp_path) == ["suite.json"]
+    assert path.read_text() == "previous"
+
+
 def test_corrupt_discard_race_loser_stays_silent(tmp_path, monkeypatch):
     """Two readers race to discard one corrupt entry; the loser's unlink
     hits FileNotFoundError and must neither raise nor warn again."""

@@ -661,3 +661,81 @@ class TestSweepCli:
         assert main(["sweep", "--axis", "seed=1,2", "--shard", "3/2",
                      "--bench", "countdown.main"]) == 2
         assert "bad shard spec" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# (g) The CLI sweep is a streaming fold: a failed sweep leaves no file,
+# and no run outlives its callback.  (test_backend_equivalence.py checks
+# the streamed file's bytes under every completion order.)
+
+
+class TestStreamedSweepCli:
+    ARGV = ["--duration", "0.05", "--settle-ms", "50", "sweep",
+            "--axis", "seed=1,2,3", "--bench", "countdown.main"]
+
+    def test_a_failing_unit_leaves_neither_out_nor_tmp(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.__main__ import main
+
+        class DiesMidway(SerialBackend):
+            def execute_stream(self, items, on_result):
+                def third_fails(index, secs, run):
+                    if index == 2:
+                        raise RuntimeError("worker died")
+                    on_result(index, secs, run)
+
+                super().execute_stream(items, third_fails)
+
+        monkeypatch.setattr("repro.core.backends.make_backend",
+                            lambda jobs: DiesMidway())
+        out = tmp_path / "sweep.json"
+        with pytest.raises(RuntimeError, match="worker died"):
+            main(self.ARGV + ["--out", str(out)])
+        assert os.listdir(tmp_path) == []
+
+    def test_no_run_outlives_the_pool_window(self, tmp_path, monkeypatch):
+        """After each completion callback, no more runs are alive than
+        the pool's in-flight window: the fold keeps one value per cell
+        and the writer keeps encoded text, never a RunResult."""
+        import weakref
+
+        from repro.__main__ import main
+        from repro.core.backends.async_ import INFLIGHT_PER_JOB
+
+        jobs = 2
+        reported: "list[weakref.ref[RunResult]]" = []
+        counts: "list[int]" = []
+
+        class Counting(AsyncBackend):
+            def execute_stream(self, items, on_result):
+                def counted(index, secs, run):
+                    reported.append(weakref.ref(run))
+                    on_result(index, secs, run)
+                    del run
+                    counts.append(sum(ref() is not None for ref in reported))
+
+                super().execute_stream(items, counted)
+
+        monkeypatch.setattr("repro.core.backends.make_backend",
+                            lambda n: Counting(jobs=n))
+        cells = 2 * INFLIGHT_PER_JOB * jobs + 2
+        seeds = ",".join(str(s) for s in range(1, cells // 2 + 1))
+        assert main(["--duration", "0.05", "--settle-ms", "50", "sweep",
+                     "--axis", f"seed={seeds}", "--bench", "countdown.main",
+                     "--bench", "doom.main", "--jobs", str(jobs),
+                     "--out", str(tmp_path / "sweep.json")]) == 0
+        assert len(counts) == cells
+        assert max(counts) <= INFLIGHT_PER_JOB * jobs
+
+
+def test_writer_publishes_nothing_while_a_cell_is_missing(tmp_path):
+    from repro.core.sweep import write_sweep
+
+    run = RunResult(bench_id="a", benchmark_comm="a", duration_ticks=1,
+                    seed=1)
+    with pytest.raises(AnalysisError, match="got 0 of its 2 cells"):
+        with write_sweep(str(tmp_path / "sweep.json"), SweepResult(),
+                         [("a", "x"), ("a", "y")]) as writer:
+            writer.add("a", "y", run)
+    assert os.listdir(tmp_path) == []
