@@ -51,8 +51,8 @@ from typing import TYPE_CHECKING
 # Only what _config, make_parser and main need: each command imports its
 # own helpers, so `list` or a serial `suite` never loads the process
 # pool, the fleet and stats layers, or the analysis it does not print.
-from repro.analysis.sweep import METRICS
 from repro.calibration import profile_cpu_count
+from repro.core.results import RUN_METRICS
 from repro.core.runner import RunConfig
 from repro.errors import ConfigError, ReproError
 from repro.faults import fault_plan, plan_names
@@ -236,10 +236,10 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a grid as a streaming fold: each completed run is written to
-    ``--out`` (in grid order, whatever order runs complete in) and
-    measured, then dropped, so memory holds one pool window of runs
-    plus one value per cell however large the grid."""
+    """Run a grid as a streaming fold: each run, reported in grid order,
+    is written to ``--out`` and measured, then dropped, so memory holds
+    one pool window of runs plus one value per cell however large the
+    grid."""
     from contextlib import nullcontext
     from operator import attrgetter
 
@@ -550,7 +550,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="save sweep results JSON here")
     p_sweep.add_argument("--metric", default="total_refs",
                          help="metric shown in the per-axis delta tables: "
-                              + ", ".join(sorted(METRICS))
+                              + ", ".join(sorted(RUN_METRICS))
                               + ", or per-core cpuN_refs/cpuN_share/cpuN_busy")
     _add_exec_flags(p_sweep, sharding=True)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, TypeVar
 
+from repro.core.results import RUN_METRICS
 from repro.core.sweep import format_axis_value, variant_label
 from repro.errors import AnalysisError
 
@@ -23,26 +24,8 @@ if TYPE_CHECKING:
 
 _T = TypeVar("_T")
 
-#: Named metrics a delta table can pivot on.
-METRICS: "dict[str, Callable[[RunResult], float]]" = {
-    "total_refs": lambda run: float(run.total_refs),
-    "total_instr": lambda run: float(run.total_instr),
-    "total_data": lambda run: float(run.total_data),
-    "threads": lambda run: float(run.thread_count()),
-    "processes": lambda run: float(run.process_count()),
-    "code_regions": lambda run: float(run.code_region_count()),
-    # SMP axes: concurrency and the busy-interval union (ticks with at
-    # least one CPU retiring); pair either with a cpus=... sweep axis.
-    "tlp": lambda run: run.tlp(),
-    "any_busy_ticks": lambda run: float(run.any_busy_ticks),
-    # big.LITTLE axis: percent of references retired on big cores
-    # (100 on a symmetric machine); pair with a cpu_profile=... axis.
-    "big_refs_share": lambda run: 100.0 * run.big_refs_share(),
-    # Fault axes: composited frames in the window (the fault-amplification
-    # observable) and total fault events fired; pair with faults=... .
-    "sf_frames": lambda run: float(run.meta.get("sf_frames", 0)),
-    "faults_total": lambda run: float(sum(run.fault_counters.values())),
-}
+#: Named metrics a delta table can pivot on: every run metric.
+METRICS = RUN_METRICS
 
 #: Per-core metric pattern: ``cpu<N>_refs`` (references retired on core
 #: N), ``cpu<N>_share`` (their percent of all references) and

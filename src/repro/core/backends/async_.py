@@ -1,5 +1,5 @@
 """Pool execution (the ``--jobs N > 1`` backend): the calling thread
-feeds a process pool and handles every completion itself.
+feeds a process pool and reports every run itself, in pull order.
 
 Each benchmark boots a fully isolated :class:`~repro.sim.system.System`
 with a seed derived only from ``(cfg.seed, bench_id)``, so runs are
@@ -10,25 +10,18 @@ pickles across the process boundary, and
 worker's fresh ``System``, so no parent-process global state is relied
 upon.
 
-Dispatch and completion handling overlap with simulation, not with each
-other.  While fewer than ``INFLIGHT_PER_JOB * jobs`` units are in
-flight, the calling thread pulls and submits (capping queued-result
-memory no matter how large the batch, and letting cache *lookups* for
-later units ride the stream); otherwise it waits for the first
-completions and reports them.  Cache writes and progress I/O for
-finished units thus happen while later units are still simulating in
-the workers, and with no second thread, callbacks need no locks.
-
-Determinism is unchanged: results are reported by pull index, so the
-output is byte-identical to
-:class:`~repro.core.backends.serial.SerialBackend` regardless of
-completion order or job count.
+Reporting overlaps with simulation: cache writes and progress I/O for
+finished runs happen while later runs still simulate, and with no
+second thread, callbacks need no locks.  Pull order, the order
+:class:`~repro.core.backends.serial.SerialBackend` reports in, makes
+the output byte-identical whatever the completion order or job count.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.backends.base import BackendError, BatchProgress
@@ -37,10 +30,10 @@ if TYPE_CHECKING:
     from repro.core.results import RunResult
     from repro.core.runner import RunConfig
 
-#: In-flight units allowed per worker: enough to keep the pool fed across
-#: fast units.  Pickled results measure 4-7 KB across the suite (1 CPU
-#: and 2+2), so a full window queues under 64 KB of results per worker
-#: and needs no sizing from observed results.
+#: Runs allowed in the window per worker: enough to keep the pool fed
+#: across fast units.  A finished run waits there for older runs, at
+#: about 40 KB decoded (tracemalloc), so a full window holds about
+#: 320 KB per worker and needs no sizing.  Cache hits never enter it.
 INFLIGHT_PER_JOB = 8
 
 
@@ -54,15 +47,16 @@ def _timed_worker(bench_id: str, cfg: "RunConfig") -> "tuple[RunResult, float]":
 
 
 class AsyncBackend:
-    """Feeds a pool of *jobs* worker processes and reports completions as
-    they finish, all from the calling thread (as-completed streaming,
-    not ordered blocking).
+    """Feeds a pool of *jobs* worker processes and reports every run in
+    pull order, all from the calling thread.
 
-    At most ``INFLIGHT_PER_JOB * jobs`` units are in flight at once —
-    pulled from the stream but not yet reported.  A full window is
-    drained before the next pull, so that bound is also the
-    backpressure that paces streamed cache lookups.  ``on_result`` runs
-    on the calling thread, exactly once per unit.
+    Each pulled item is submitted at once and its future joins one FIFO
+    window.  After each pull, every finished run at the head is reported
+    without waiting; a full window of ``INFLIGHT_PER_JOB * jobs`` runs
+    waits on its oldest before the next pull.  That bound caps queued
+    results however large the batch, and paces the cache lookups that
+    ride the stream.  ``on_result`` runs on the calling thread, exactly
+    once per run.
     """
 
     name = "async"
@@ -71,8 +65,8 @@ class AsyncBackend:
         if jobs < 1:
             raise BackendError(f"async backend needs jobs >= 1, got {jobs}")
         self.jobs = jobs
-        #: Bench ids actually simulated, in *completion* order (the only
-        #: order this backend has; tests count real work with it).
+        #: Bench ids actually simulated, in pull order (cache hits never
+        #: reach the backend, so tests count real work with it).
         self.executed: list[str] = []
 
     def execute_stream(
@@ -87,30 +81,29 @@ class AsyncBackend:
         once the pool has shut down.
 
         No result is retained after its ``on_result`` call returns: each
-        future is dropped as it is reported, so a streaming-reduction
-        caller holds the only reference and peak memory stays bounded by
-        the in-flight window however long the stream runs.
+        future leaves the window as it is reported, so a
+        streaming-reduction caller holds the only reference and peak
+        memory stays bounded by the window however long the stream runs.
         """
         window = INFLIGHT_PER_JOB * self.jobs
-        # Future -> (pull index, bench id) of each unit not yet reported.
-        in_flight: dict = {}
+        # (pull index, bench id, future) of each run not yet reported,
+        # oldest first.
+        running: deque = deque()
 
-        def report_first_done() -> None:
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=in_flight.get):
-                index, bench_id = in_flight.pop(future)
-                result, elapsed = future.result()
-                self.executed.append(bench_id)
-                on_result(index, elapsed, result)
+        def report_oldest() -> None:
+            index, bench_id, future = running.popleft()
+            result, elapsed = future.result()
+            self.executed.append(bench_id)
+            on_result(index, elapsed, result)
 
         pool = ProcessPoolExecutor(max_workers=self.jobs)
         try:
             for index, (bench_id, cfg) in enumerate(items):
                 future = pool.submit(_timed_worker, bench_id, cfg)
-                in_flight[future] = (index, bench_id)
-                if len(in_flight) == window:
-                    report_first_done()
-            while in_flight:
-                report_first_done()
+                running.append((index, bench_id, future))
+                while running and (len(running) == window or running[0][2].done()):
+                    report_oldest()
+            while running:
+                report_oldest()
         finally:
             pool.shutdown(wait=True, cancel_futures=True)

@@ -14,10 +14,10 @@ if TYPE_CHECKING:
 class SerialBackend:
     """Runs every benchmark in this process, one after another.
 
-    Each item executes the moment it is pulled, so a cache probe for a
-    later unit happens only after earlier units have run and been
-    stored.  This is the reference implementation the pool is checked
-    against.
+    Each item executes and is reported the moment it is pulled, so a
+    cache probe for a later unit happens only after earlier units have
+    run and been stored.  This is the reference implementation the pool
+    is checked against.
     """
 
     name = "serial"

@@ -133,11 +133,6 @@ class DeviceProfile:
     #: Fault-plan name the device drew (None = fault-free).
     fault: "str | None" = None
 
-    @property
-    def key(self) -> str:
-        """The stable sketch-sampling identity of this device."""
-        return f"device:{self.device_id}"
-
 
 @dataclass(frozen=True)
 class FleetUnit:
@@ -522,7 +517,7 @@ def run_fleet(
     the per-unit progress callback (e.g. a :class:`ProgressMeter`), so
     a meter is sized from this one plan.  Units stream through
     :func:`~repro.core.runner.execute_with_cache` and fold into sketches
-    as they complete — per-device results are never held.
+    as they are reported — per-device results are never held.
     """
     from repro.core.backends import SerialBackend
 

@@ -422,6 +422,36 @@ class RunResult:
         )
 
 
+#: A named metric over one run, e.g. ``lambda run: float(run.total_refs)``.
+MetricFn = Callable[[RunResult], float]
+
+#: Every named run metric: a sweep's delta tables pivot on any of them
+#: (``repro sweep --metric``), and a fleet aggregates the ones it names.
+RUN_METRICS: "dict[str, MetricFn]" = {
+    "total_refs": lambda run: float(run.total_refs),
+    "total_instr": lambda run: float(run.total_instr),
+    "total_data": lambda run: float(run.total_data),
+    "threads": lambda run: float(run.thread_count()),
+    "processes": lambda run: float(run.process_count()),
+    "code_regions": lambda run: float(run.code_region_count()),
+    # SMP axes: concurrency and the busy-interval union (ticks with at
+    # least one CPU retiring); pair either with a cpus=... sweep axis.
+    # Both degenerate gracefully on single-core runs.
+    "tlp": lambda run: run.tlp(),
+    "any_busy_ticks": lambda run: float(run.any_busy_ticks),
+    # big.LITTLE axis: percent of references retired on big cores
+    # (100 on a symmetric machine); pair with a cpu_profile=... axis.
+    "big_refs_share": lambda run: 100.0 * run.big_refs_share(),
+    # App metrics from the run's meta; they read 0 for SPEC workloads.
+    "frames_drawn": lambda run: float(run.meta.get("frames_drawn", 0)),
+    "gc_cycles": lambda run: float(run.meta.get("gc_cycles", 0)),
+    # Fault axes: composited frames in the window (the fault-amplification
+    # observable) and total fault events fired; pair with faults=... .
+    "sf_frames": lambda run: float(run.meta.get("sf_frames", 0)),
+    "faults_total": lambda run: float(sum(run.fault_counters.values())),
+}
+
+
 @dataclass
 class SuiteResult:
     """Results for a set of benchmarks, keyed by bench id."""
@@ -549,6 +579,14 @@ class ResultCache:
         return os.path.join(self.root, self.key(bench_id, cfg) + ".json")
 
     # ------------------------------------------------------------------
+
+    def has(self, bench_id: str, cfg: "RunConfig") -> bool:
+        """Whether an entry is stored for this key, without reading it (a
+        key with none counts as a miss; :meth:`get` counts the others)."""
+        if os.path.exists(self._path(bench_id, cfg)):
+            return True
+        self.misses += 1
+        return False
 
     def get(self, bench_id: str, cfg: "RunConfig") -> RunResult | None:
         """The stored run for this key, or ``None`` on a miss.

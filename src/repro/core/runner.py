@@ -18,15 +18,17 @@ cache lookups, and delegation to an
 
 from __future__ import annotations
 
+import time
 import warnings
 import zlib
+from collections import deque
 from dataclasses import asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 from repro.android.app import start_activity
 from repro.android.boot import boot_android
 from repro.calibration import Calibration, profile_cpu_count
-from repro.core.backends.base import shortfall_error
+from repro.core.backends.base import BackendError
 from repro.core.backends.sharded import shard_ids
 from repro.core.results import ResultCache, RunResult, SuiteResult
 from repro.core.spec import BenchmarkSpec
@@ -342,52 +344,75 @@ def execute_with_cache(
     units: "Iterable[_Unit]",
     on_done: "Callable[[_Unit, float | None, RunResult], None]",
 ) -> None:
-    """Run *units* through *cache* then *backend*, reporting each once.
+    """Run *units* through *cache* then *backend*, reporting each once,
+    in unit order.
 
     The one way a completed run leaves :mod:`repro.core`: the suite,
     sweep and fleet runners each fold results in their own *on_done*.
     Each unit carries ``bench_id``, ``config`` and ``label``, and
-    ``on_done(unit, elapsed, run)`` fires exactly once per unit, on the
-    calling thread: with ``elapsed=None`` for a cache hit (no
-    simulation happened — never conflate that with a fast run), and
-    after the run is stored in *cache* for a fresh one.  Nothing is
-    returned or retained here, so a caller that folds results into
-    summaries aggregates in O(metrics) memory however large the batch.
+    ``on_done(unit, elapsed, run)`` fires exactly once per unit, in the
+    order of *units*, on the calling thread: with ``elapsed=None`` for
+    a cache hit (no simulation happened — never conflate that with a
+    fast run), and after the run is stored in *cache* for a fresh one.
+    Nothing is returned or retained here, so a caller that folds
+    results into summaries aggregates in O(metrics) memory however
+    large the batch.
 
-    The backend pulls *units* lazily, so the cache probe for a later
-    unit overlaps simulations already in flight on the pool.  A unit
-    the backend never reports raises a
-    :class:`~repro.core.backends.BackendError` naming its label.
+    Only the misses reach the backend, which pulls *units* lazily: a
+    probe overlaps the runs in flight, and only runs take window slots.
+    A hit behind an unreported run waits as its unit and is read at its
+    turn, so no decoded hit queues up (an entry gone or corrupt by then
+    is simulated here).  A backend that reports out of pull order, or
+    loses a run, raises a :class:`~repro.core.backends.BackendError`.
     """
-    # The units handed to the backend, in pull order, and whether each
-    # has been reported.
-    pending: list = []
-    reported = bytearray()
+    # Each unit pulled but not reported, oldest first, and whether the
+    # cache holds it (only the others went to the backend).
+    pulled: deque = deque()
+    reported = 0
+
+    def report_hits() -> None:
+        """Report the hits at the head of *pulled*, reading each now."""
+        while pulled and pulled[0][1]:
+            unit = pulled.popleft()[0]
+            run, elapsed = cache.get(unit.bench_id, unit.config), None
+            if run is None:  # later runs may be in flight: run it here
+                started = time.perf_counter()
+                run = execute_one(unit.bench_id, unit.config)
+                elapsed = time.perf_counter() - started
+                cache.put(unit.bench_id, unit.config, run)
+            on_done(unit, elapsed, run)
 
     def misses():
-        """Probe lazily, yielding only the items the backend must run."""
         for unit in units:
-            hit = None
-            if cache is not None:
-                hit = cache.get(unit.bench_id, unit.config)
-            if hit is None:
-                pending.append(unit)
-                reported.append(0)
-                yield unit.bench_id, unit.config
+            hit = cache is not None and cache.has(unit.bench_id, unit.config)
+            pulled.append((unit, hit))
+            if hit:
+                report_hits()
             else:
-                on_done(unit, None, hit)
+                yield unit.bench_id, unit.config
 
     def on_result(index: int, elapsed: float, run: RunResult) -> None:
-        unit = pending[index]
+        nonlocal reported
+        if index != reported:
+            raise BackendError(
+                f"backend {backend.name!r} reported run {index} out of pull "
+                f"order (expected run {reported})"
+            )
+        reported += 1
+        unit = pulled.popleft()[0]
         if cache is not None:
             cache.put(unit.bench_id, unit.config, run)
-        reported[index] = 1
         on_done(unit, elapsed, run)
+        report_hits()
 
     backend.execute_stream(misses(), on_result)
-    missing = [unit.label for unit, done in zip(pending, reported) if not done]
-    if missing:
-        raise shortfall_error(backend, missing, len(pending))
+    if pulled:
+        # A crashed worker or a buggy backend lost these runs.
+        lost = [unit.label for unit, hit in pulled if not hit]
+        raise BackendError(
+            f"backend {backend.name!r} returned no result for: "
+            f"{', '.join(lost)} ({reported}/{reported + len(lost)} completed)"
+        )
 
 
 class SuiteRunner:
@@ -427,10 +452,10 @@ class SuiteRunner:
     ) -> SuiteResult:
         """Execute a set of benchmarks (default: the whole suite).
 
-        Cache hits are reported through *progress* with ``elapsed=None``
-        (no simulation happened — distinct from a genuinely instantaneous
-        run); misses go to the backend and are stored back on
-        completion.
+        Every benchmark is reported through *progress* in batch order,
+        a cache hit with ``elapsed=None`` (no simulation happened —
+        distinct from a genuinely instantaneous run); misses run on the
+        backend and are stored back on completion.
         """
         cfg = config if config is not None else self.config
         wanted = dedup_ids(
@@ -443,12 +468,12 @@ class SuiteRunner:
         if self.shard is not None:
             wanted = list(shard_ids(wanted, *self.shard))
 
-        runs: dict[str, RunResult] = {}
+        suite = SuiteResult()
 
         def on_done(
             unit: SuiteUnit, elapsed: "float | None", run: RunResult
         ) -> None:
-            runs[unit.bench_id] = run
+            suite.add(run)
             if progress is not None:
                 progress(unit.bench_id, elapsed, run)
 
@@ -458,5 +483,4 @@ class SuiteRunner:
             [SuiteUnit(bench_id, cfg) for bench_id in wanted],
             on_done,
         )
-        # Runs arrive in completion order; the suite keeps batch order.
-        return SuiteResult({bench_id: runs[bench_id] for bench_id in wanted})
+        return suite

@@ -10,9 +10,8 @@ keeps only
 
 - exact **count / mean / min / max** — the running total is kept as an
   exact rational (:class:`fractions.Fraction`), so sums are independent
-  of arrival order: an async backend completing units in any order, or
-  shards merged in any order, produce bit-identical totals (float
-  addition would not);
+  of arrival order: shards merged in any order produce bit-identical
+  totals (float addition would not);
 - a **bottom-k hash sample** for percentiles: every observation carries a
   stable unit key (e.g. ``device 17``) and the sketch keeps the
   *capacity* observations with the smallest ``blake2b(key)`` values.
@@ -37,12 +36,10 @@ import bisect
 import hashlib
 from collections.abc import Mapping as _MappingABC
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
+from repro.core.results import RUN_METRICS, MetricFn, RunResult
 from repro.errors import AnalysisError
-
-if TYPE_CHECKING:
-    from repro.core.results import RunResult
 
 #: Default bottom-k sample bound: the constant in "O(metrics) memory".
 DEFAULT_SAMPLE_CAPACITY = 1024
@@ -206,24 +203,13 @@ class MetricSketch:
         return out
 
 
-#: A named metric over one run, e.g. ``lambda run: float(run.total_refs)``.
-MetricFn = Callable[["RunResult"], float]
-
-#: The default per-device metrics a fleet run aggregates.  All derive
-#: from fields every RunResult already carries (``tlp`` and
-#: ``big_refs_share`` degenerate gracefully on single-core runs; the
-#: meta-derived app metrics read 0 for SPEC workloads).
-FLEET_METRICS: "dict[str, MetricFn]" = {
-    "total_refs": lambda run: float(run.total_refs),
-    "total_instr": lambda run: float(run.total_instr),
-    "total_data": lambda run: float(run.total_data),
-    "threads": lambda run: float(run.thread_count()),
-    "processes": lambda run: float(run.process_count()),
-    "tlp": lambda run: run.tlp(),
-    "big_refs_share": lambda run: 100.0 * run.big_refs_share(),
-    "frames_drawn": lambda run: float(run.meta.get("frames_drawn", 0)),
-    "gc_cycles": lambda run: float(run.meta.get("gc_cycles", 0)),
-}
+#: The per-device metrics a fleet run aggregates, picked by name from
+#: the run metrics.  The order is part of the fleet spec's digest and
+#: file, so it never changes.
+FLEET_METRICS: "dict[str, MetricFn]" = {name: RUN_METRICS[name] for name in (
+    "total_refs", "total_instr", "total_data", "threads", "processes",
+    "tlp", "big_refs_share", "frames_drawn", "gc_cycles",
+)}
 
 
 class SketchSet:

@@ -510,16 +510,15 @@ def _cell_json(bench_id: str, variant: str, run: RunResult) -> dict:
 
 
 class SweepWriter:
-    """Writes a sweep file's cells in grid order as they complete, in
-    whatever order that is.
+    """Writes a sweep file's cells as they are reported, in grid order.
 
     Built on an open file, it writes the header of *grid* (a
     :class:`SweepResult`, whose cells it ignores) at once.  :meth:`add`
-    encodes a cell and appends it as soon as every earlier cell of
-    *keys* (the ``(bench_id, variant)`` cells the file holds, in grid
-    order) has been written; a cell that arrives early waits as encoded
-    text only.  So the file costs no more memory than the cells reported
-    out of order, and it holds the bytes ``json.dump`` writes for
+    encodes a cell and appends it; each cell must be the next of *keys*
+    (the ``(bench_id, variant)`` cells the file holds, in grid order),
+    which is the order :func:`~repro.core.runner.execute_with_cache`
+    reports them in.  So the writer holds no cell in memory, and the file
+    holds the bytes ``json.dump`` writes for
     :meth:`SweepResult.to_json_dict` of the same cells.
     """
 
@@ -530,30 +529,30 @@ class SweepWriter:
         keys: "Iterable[tuple[str, str]]",
     ) -> None:
         self._fh = fh
-        self._position = {key: i for i, key in enumerate(keys)}
+        self._keys = list(keys)
         self._written = 0
-        #: Position -> encoded text of each cell that arrived early.
-        self._early: "dict[int, str]" = {}
         # The header's closing brace gives way to the cells list.
         fh.write(json.dumps(grid._header())[:-1] + ', "cells": [')
 
     def add(self, bench_id: str, variant: str, run: RunResult) -> None:
-        """Encode one cell and write every cell now in grid order."""
-        self._early[self._position[(bench_id, variant)]] = json.dumps(
-            _cell_json(bench_id, variant, run)
-        )
-        while self._written in self._early:
-            if self._written:
-                self._fh.write(", ")
-            self._fh.write(self._early.pop(self._written))
-            self._written += 1
+        """Encode one cell and append it, if it is the next in grid order."""
+        keys, written = self._keys, self._written
+        if written == len(keys) or keys[written] != (bench_id, variant):
+            raise AnalysisError(
+                f"sweep cell {bench_id}[{variant}] is not the next of the "
+                f"file's {len(keys)} cells in grid order ({written} written)"
+            )
+        if written:
+            self._fh.write(", ")
+        self._fh.write(json.dumps(_cell_json(bench_id, variant, run)))
+        self._written += 1
 
     def close(self) -> None:
         """Close the cells list, once every cell has been written."""
-        if self._written != len(self._position):
+        if self._written != len(self._keys):
             raise AnalysisError(
                 f"sweep file got {self._written} of its "
-                f"{len(self._position)} cells in grid order"
+                f"{len(self._keys)} cells in grid order"
             )
         self._fh.write("]}")
 
@@ -643,25 +642,18 @@ class SweepRunner:
     ) -> SweepResult:
         """Execute every owned grid cell into a :class:`SweepResult`.
 
-        Cells arrive in completion order (cache hits first, or a pool
-        racing ahead); the result lists them in canonical grid order,
-        so its bytes do not depend on the order execution took.
+        Cells arrive in canonical grid order whatever the backend, cache
+        state or job count, and each is added as it arrives, so the
+        result's bytes do not depend on the order execution took.
         """
         out, _points, owned = self.plan(spec)
-        runs: "dict[tuple[str, str], RunResult]" = {}
 
         def on_done(
             point: SweepPoint, elapsed: "float | None", run: RunResult
         ) -> None:
-            runs[(point.bench_id, point.variant)] = run
+            out.add(point.bench_id, point.variant, run)
             if progress is not None:
                 progress(point, elapsed, run)
 
         execute_with_cache(self.backend, self.cache, owned, on_done)
-        for point in owned:
-            out.add(
-                point.bench_id,
-                point.variant,
-                runs[(point.bench_id, point.variant)],
-            )
         return out

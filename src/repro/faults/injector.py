@@ -38,7 +38,9 @@ if TYPE_CHECKING:
 #: sender blocked on the reply payload, so failures retry instead.
 DROP_SAFE_CODES = frozenset({"activity_idle", "relayout"})
 
-#: The fixed counter vocabulary every faulted RunResult reports.
+#: The fixed counter vocabulary every faulted RunResult reports, plus
+#: ``kills_unmatched`` (kills that found no live target) only when
+#: nonzero: a typo'd target never reads as a fault-free run.
 COUNTER_KEYS = (
     "binder_failed",
     "binder_dropped",
@@ -73,6 +75,7 @@ class FaultInjector:
         self.stack = stack
         self._binder_rng = channel_rng(seed, "binder")
         self._counters = {key: 0 for key in COUNTER_KEYS}
+        self._kills_unmatched = 0
         self._events: list[tuple[int, int, str, object]] = []
         self._seq = 0
         self._saved_tpi: dict[int, int] = {}
@@ -146,14 +149,10 @@ class FaultInjector:
 
     def _fire_kill(self, kill: ThreadKill, now: int) -> None:
         proc = self.system.kernel.find_process(kill.proc)
-        if proc is None or not proc.alive:
-            return
-        victim = None
-        for task in proc.live_tasks():
-            if task.name == kill.thread:
-                victim = task
-                break
+        live = proc.live_tasks() if proc is not None and proc.alive else ()
+        victim = next((t for t in live if t.name == kill.thread), None)
         if victim is None:
+            self._kills_unmatched += 1
             return
         self.system.kernel.reap_task(victim)
         self._counters["threads_killed"] += 1
@@ -251,5 +250,9 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def counters(self) -> dict:
-        """A snapshot of the fixed counter vocabulary (always all keys)."""
-        return dict(self._counters)
+        """A snapshot of the fixed counter vocabulary (always all keys),
+        plus ``kills_unmatched`` when a kill found no target."""
+        out = dict(self._counters)
+        if self._kills_unmatched:
+            out["kills_unmatched"] = self._kills_unmatched
+        return out

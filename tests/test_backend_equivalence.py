@@ -5,14 +5,17 @@ RunConfig)``, so the same suite or sweep serialises to byte-identical
 JSON through both execution paths — serial (``--jobs 1``) and the async
 pool (``--jobs N``), each also as sharded runs merged back together —
 whether the cache is cold, partially warmed, or fully pre-warmed.
-Completion order is backend-specific and explicitly *not* part of the
-contract, so the matrix also pins the progress protocol: out-of-order
-completion must still report index-correct units, and cache hits must
-report ``elapsed=None`` no matter which thread delivers them.
+Completion order is backend-specific, but report order is part of the
+contract: every backend reports its runs in the order it pulled them,
+and cache hits wait their turn among them.  So the matrix also pins the
+progress protocol: a backend that reports out of pull order is a
+``BackendError``, and cache hits report ``elapsed=None`` whichever
+backend runs the misses.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 
@@ -30,6 +33,7 @@ from repro.core import (
     SweepSpec,
 )
 from repro.__main__ import main
+from repro.core.backends import BackendError
 from repro.core.runner import execute_one
 from repro.core.sweep import SweepResult
 from repro.sim.ticks import millis
@@ -203,18 +207,32 @@ class TestSweepMatrix:
     @pytest.mark.parametrize("warmth", WARMTH)
     @pytest.mark.parametrize("name", BACKENDS + ("reversed", "shuffled"))
     def test_cli_streams_the_saved_bytes(
-        self, name, warmth, serial_sweep_bytes, tmp_path, monkeypatch
+        self, name, warmth, serial_sweep_bytes, tmp_path, monkeypatch,
+        capsys,
     ):
-        """``repro sweep --out`` writes each cell as it completes: cache
-        hits ahead of misses, and misses out of pull order.  The file
-        still holds the bytes ``SweepResult.save`` writes."""
+        """``repro sweep --out`` writes each cell as it is reported, cache
+        hits in line with runs, and the file holds the bytes
+        ``SweepResult.save`` writes.  A backend that reports its runs out
+        of pull order is refused with a ``BackendError`` (exit 2), which
+        leaves neither ``--out`` nor a tmp file; over a prewarmed cache
+        no run reaches it, so it has nothing to reorder."""
         cache_dir = _warm_sweep_cache(tmp_path, warmth)
         monkeypatch.setattr("repro.core.backends.make_backend",
                             lambda jobs: _make(name))
-        out = tmp_path / "out.json"
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "out.json"
         cache = ["--cache", cache_dir] if cache_dir else []
-        assert main(SWEEP_ARGV + cache + ["--out", str(out)]) == 0
-        assert out.read_bytes() == serial_sweep_bytes
+        status = main(SWEEP_ARGV + cache + ["--out", str(out)])
+        if name in BACKENDS or warmth == "prewarmed":
+            assert status == 0
+            assert out.read_bytes() == serial_sweep_bytes
+        else:
+            assert status == 2
+            err = capsys.readouterr().err
+            assert "error: backend 'reordering' reported run" in err
+            assert "out of pull order (expected run 0)" in err
+            assert os.listdir(out_dir) == []
 
     @pytest.mark.parametrize("inner", BACKENDS)
     def test_cli_shard_files_merge_byte_identical(
@@ -430,13 +448,13 @@ class TestFullSuite:
 
 
 # ----------------------------------------------------------------------
-# (d) BatchProgress ordering under out-of-order completion
+# (d) BatchProgress ordering: units are reported in pull order
 
 
 class ReorderingBackend(SerialBackend):
-    """Reports completions in the order ``order(n)`` lists the *n* pull
-    indices, reverse pull order by default — a deterministic stand-in
-    for a pool's arbitrary completion order."""
+    """Reports its runs in the order ``order(n)`` lists the *n* pull
+    indices, reverse pull order by default — a pool that reported in
+    completion order, which the backend contract forbids."""
 
     name = "reordering"
 
@@ -454,32 +472,32 @@ class ReorderingBackend(SerialBackend):
 
 
 class TestProgressOrdering:
-    def test_reversed_completion_reports_index_correct_units(self, tmp_path):
-        """With the first benchmark pre-warmed and the backend completing
-        backwards, every progress event must still pair the right unit
-        with the right result, hits flagged ``elapsed=None``."""
+    def test_reversed_completion_is_refused(self, tmp_path):
+        """With the first benchmark pre-warmed and the backend reporting
+        backwards, its first report is a ``BackendError``: only the hit
+        ahead of every run is reported and no run is stored, so no unit
+        is ever paired with a result out of order."""
         root = str(tmp_path / "cache")
         SuiteRunner(FAST, cache=ResultCache(root)).run_suite(SUITE_IDS[:1])
 
         events = []
-        suite = SuiteRunner(
-            FAST, backend=ReorderingBackend(), cache=ResultCache(root)
-        ).run_suite(
-            SUITE_IDS,
-            progress=lambda bid, secs, res: events.append((bid, secs, res)),
-        )
-        assert sorted(bid for bid, _, _ in events) == sorted(SUITE_IDS)
-        assert all(bid == res.bench_id for bid, _, res in events)
-        elapsed = dict((bid, secs) for bid, secs, _ in events)
-        assert elapsed[SUITE_IDS[0]] is None          # the cache hit
-        assert all(elapsed[bid] == 0.25 for bid in SUITE_IDS[1:])
-        assert suite.ids() == SUITE_IDS               # results in item order
+        backend = ReorderingBackend()
+        with pytest.raises(
+            BackendError,
+            match=r"reported run 1 out of pull order \(expected run 0\)",
+        ):
+            SuiteRunner(
+                FAST, backend=backend, cache=ResultCache(root)
+            ).run_suite(SUITE_IDS, progress=lambda *event: events.append(event))
+        assert [(bid, secs) for bid, secs, _ in events] == [(SUITE_IDS[0], None)]
+        assert backend.executed == SUITE_IDS[1:]
+        assert len(ResultCache(root)) == 1
 
-    def test_reversed_completion_sweep_matches_serial_bytes(
-        self, serial_sweep_bytes, tmp_path
-    ):
-        sweep = SweepRunner(backend=ReorderingBackend()).run(SWEEP_SPEC)
-        assert _sweep_bytes(sweep, tmp_path / "out.json") == serial_sweep_bytes
+    def test_reversed_sweep_is_refused(self):
+        """The sweep runner refuses a backwards backend instead of
+        sorting its cells back into grid order."""
+        with pytest.raises(BackendError, match="out of pull order"):
+            SweepRunner(backend=ReorderingBackend()).run(SWEEP_SPEC)
 
     def test_pool_progress_indices_address_pull_order(self):
         """The pool completes in arbitrary order; its on_result index
@@ -531,11 +549,15 @@ class TestProgressOrdering:
 
 
 class RecordingCache(ResultCache):
-    """Logs every lookup and store, in call order."""
+    """Logs every probe, read and store, in call order."""
 
     def __init__(self, root: str) -> None:
         super().__init__(root)
         self.events: "list[tuple[str, str]]" = []
+
+    def has(self, bench_id, cfg):
+        self.events.append(("has", bench_id))
+        return super().has(bench_id, cfg)
 
     def get(self, bench_id, cfg):
         self.events.append(("get", bench_id))
@@ -556,21 +578,22 @@ class TestStreamingOverlap:
         ids = SUITE_IDS[:2]
         SuiteRunner(FAST, backend=SerialBackend(), cache=cache).run_suite(ids)
         assert cache.events == [
-            ("get", ids[0]), ("put", ids[0]),
-            ("get", ids[1]), ("put", ids[1]),
+            ("has", ids[0]), ("put", ids[0]),
+            ("has", ids[1]), ("put", ids[1]),
         ]
 
     def test_pool_stores_every_miss_once(self, tmp_path):
-        """On the pool, stores run in completion order; each miss is
-        still probed once and stored once."""
+        """On the pool, each miss is probed once, in pull order, and
+        stored once, in report order."""
         cache = RecordingCache(str(tmp_path / "cache"))
         SuiteRunner(FAST, backend=AsyncBackend(jobs=2), cache=cache).run_suite(
             SUITE_IDS
         )
-        gets = [bid for op, bid in cache.events if op == "get"]
+        probes = [bid for op, bid in cache.events if op == "has"]
         puts = [bid for op, bid in cache.events if op == "put"]
-        assert gets == SUITE_IDS                  # probed in pull order
-        assert sorted(puts) == sorted(SUITE_IDS)
+        assert probes == SUITE_IDS                # probed in pull order
+        assert puts == SUITE_IDS
+        assert [op for op, _ in cache.events].count("get") == 0
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import os
 import pickle
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -37,9 +38,10 @@ from repro.core import (
     shard_ids,
 )
 from repro.core.backends.async_ import INFLIGHT_PER_JOB
-from repro.core.runner import SuiteUnit, execute_with_cache
+from repro.core.results import RunResult
+from repro.core.runner import SuiteUnit, execute_one, execute_with_cache
 from repro.errors import ConfigError, WorkloadError
-from repro.sim.ticks import millis
+from repro.sim.ticks import millis, seconds
 
 SUBSET = ["countdown.main", "music.mp3.view", "401.bzip2", "999.specrand"]
 
@@ -276,6 +278,93 @@ class TestAsyncBackend:
         assert len(backend.executed) < len(units)
         assert multiprocessing.active_children() == []
 
+    def test_hits_behind_a_slow_miss_take_no_window_slot(self, tmp_path):
+        """A slow miss, then more cache hits than the pool's window
+        holds, then a few fast misses: ``on_done`` fires in unit order,
+        each hit with ``elapsed=None`` and unrun.  The hits take no slot
+        of the window, so every unit is pulled, and every fast miss
+        submitted, while the slow miss still runs; and each hit's entry
+        is read only at its turn, so no decoded hit queues up."""
+        jobs = 2
+        fast = RunConfig(duration_ticks=millis(50), settle_ticks=millis(50))
+        done: "list[tuple[SuiteUnit, float | None]]" = []
+        reads: "list[int]" = []   # units reported before each entry read
+
+        class ReadCountingCache(ResultCache):
+            def get(self, bench_id, cfg):
+                reads.append(len(done))
+                return super().get(bench_id, cfg)
+
+        cache = ReadCountingCache(str(tmp_path))
+        hits = [SuiteUnit("countdown.main", replace(fast, seed=seed))
+                for seed in range(1, 41)]
+        assert len(hits) > INFLIGHT_PER_JOB * jobs
+        for unit in hits:
+            cache.put(unit.bench_id, unit.config, RunResult(
+                bench_id=unit.bench_id, benchmark_comm="countdown",
+                duration_ticks=1, seed=unit.config.seed))
+        units = (
+            # About 0.13 s of simulation on a 2-vCPU host, where pulling
+            # the other 43 units takes about 2 ms.
+            [SuiteUnit("vlc.mp4.view", RunConfig(
+                duration_ticks=seconds(20), settle_ticks=millis(50)))]
+            + hits
+            + [SuiteUnit("999.specrand", replace(fast, seed=seed))
+               for seed in (1, 2, 3)]
+        )
+        pulled: "list[SuiteUnit]" = []
+        pulled_at_first_report: "list[int]" = []
+
+        def stream():
+            for unit in units:
+                pulled.append(unit)
+                yield unit
+
+        def on_done(unit, elapsed, run):
+            if not done:
+                pulled_at_first_report.append(len(pulled))
+            done.append((unit, elapsed))
+
+        backend = AsyncBackend(jobs=jobs)
+        execute_with_cache(backend, cache, stream(), on_done)
+        assert [unit for unit, _ in done] == units
+        assert [elapsed is None for _, elapsed in done] == (
+            [False] + [True] * len(hits) + [False] * 3
+        )
+        assert backend.executed == ["vlc.mp4.view"] + ["999.specrand"] * 3
+        assert pulled_at_first_report == [len(units)]
+        assert reads == list(range(1, len(hits) + 1))
+
+    def test_an_entry_gone_bad_by_its_turn_is_run_in_order(self, tmp_path):
+        """A hit whose entry is corrupt when its turn comes, behind a
+        miss still in flight, is simulated in the calling process and
+        reported in its place with a real elapsed time; the cache heals.
+        """
+        cache = ResultCache(str(tmp_path))
+        bad = SuiteUnit("countdown.main", QUICK_CONFIG)
+        good = SuiteUnit("999.specrand", QUICK_CONFIG)
+        for unit in (bad, good):
+            cache.put(unit.bench_id, unit.config,
+                      execute_one(unit.bench_id, unit.config))
+        expected = cache.get(bad.bench_id, bad.config).to_json_dict()
+        path = tmp_path / (ResultCache.key(bad.bench_id, bad.config) + ".json")
+        path.write_text("{not json")
+        units = [SuiteUnit("music.mp3.view", QUICK_CONFIG), bad, good]
+        done = []
+        backend = AsyncBackend(jobs=2)
+        with pytest.warns(RuntimeWarning, match="corrupt cache entry"):
+            execute_with_cache(
+                backend, cache, units,
+                lambda unit, elapsed, run: done.append((unit, elapsed, run)),
+            )
+        assert [unit for unit, _, _ in done] == units
+        assert [elapsed is None for _, elapsed, _ in done] == [
+            False, False, True,
+        ]
+        assert done[1][2].to_json_dict() == expected
+        assert backend.executed == ["music.mp3.view"]
+        assert cache.get(bad.bench_id, bad.config).to_json_dict() == expected
+
     def test_executed_tracks_only_real_simulations(self, tmp_path):
         SuiteRunner(QUICK_CONFIG, cache=ResultCache(str(tmp_path))).run_suite(
             SUBSET[:1]
@@ -342,6 +431,17 @@ class TestResultCache:
             assert cache.misses == misses
             # The bad file is gone, so the next put() heals this key.
             assert not path.exists()
+
+    def test_has_probes_without_reading(self, tmp_path):
+        """``has`` counts an absent key as a miss and reads nothing, so a
+        corrupt entry reads as stored until ``get`` trips over it."""
+        cache = ResultCache(str(tmp_path))
+        assert not cache.has(SUBSET[0], QUICK_CONFIG)
+        assert (cache.hits, cache.misses) == (0, 1)
+        path = tmp_path / (ResultCache.key(SUBSET[0], QUICK_CONFIG) + ".json")
+        path.write_text("{not json")
+        assert cache.has(SUBSET[0], QUICK_CONFIG)
+        assert (cache.hits, cache.misses) == (0, 1) and path.exists()
 
     def test_valid_json_wrong_shape_is_discarded(self, tmp_path):
         cache = ResultCache(str(tmp_path))

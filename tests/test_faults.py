@@ -234,6 +234,22 @@ class TestInjection:
         frames = lambda run: run.meta.get("sf_frames", 0)  # noqa: E731
         assert frames(kill) < frames(restart) <= frames(base)
 
+    def test_a_kill_that_finds_no_target_is_counted(self):
+        """A typo'd kill target does not read as a fault-free run: the
+        kill is counted as unmatched, while the kills of named plans
+        land and keep the fixed vocabulary."""
+        typo = FaultPlan(name="typo", thread_kills=(
+            ThreadKill(at_ms=10, proc="nosuchproc", thread="nothread"),))
+        cfg = RunConfig(duration_ticks=millis(400), settle_ticks=millis(200),
+                        faults=typo)
+        run = execute_one("countdown.main", cfg)
+        assert run.fault_counters == {
+            **dict.fromkeys(COUNTER_KEYS, 0), "kills_unmatched": 1,
+        }
+        assert run.to_json_dict()["faults"]["kills_unmatched"] == 1
+        landed = execute_one("vlc.mp4.view", _faulted("sf-kill"))
+        assert tuple(landed.fault_counters) == COUNTER_KEYS
+
     def test_eviction_storm_counts_every_storm(self):
         run = execute_one("osmand.map.view", _faulted("cache-storm"))
         assert run.fault_counters["evictions"] == 3

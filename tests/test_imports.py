@@ -14,9 +14,11 @@ import repro
 
 #: Modules neither ``list`` nor a serial ``suite`` needs: OpenSSL (kernel
 #: entry addresses come from ``zlib.crc32``; only cache keys and fleet
-#: digests hash), the process pool, and the fleet, stats and claims layers.
+#: digests hash), the process pool, the sweep, fleet and stats layers,
+#: and all of analysis.
 UNNEEDED = ("hashlib", "_hashlib", "concurrent.futures", "multiprocessing",
-            "repro.core.fleet", "repro.core.stats", "repro.analysis.claims")
+            "repro.core.sweep", "repro.core.fleet", "repro.core.stats",
+            "repro.analysis", "repro.analysis.claims")
 
 
 def _imported(argv: "list[str]", cwd) -> "set[str]":

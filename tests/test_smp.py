@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro import __version__
 from repro.core import ResultCache, RunConfig, SuiteRunner, execute_one
 from repro.core.sweep import SweepAxis, SweepRunner, SweepSpec, parse_axis
 from repro.errors import ConfigError
@@ -39,12 +38,8 @@ def test_cpus1_cache_key_matches_pre_smp_engine():
     """The exact key the pre-SMP engine produced for this config.
 
     Locks the key format: a cpus=1 run must keep hitting cache entries
-    written before the SMP dimension existed.  A deliberate model change
-    bumps ``repro.__version__`` (invalidating every key), which skips
-    this anchor rather than failing it.
+    written before the SMP dimension existed.
     """
-    if __version__ != "1.0.0":
-        pytest.skip("cache keys intentionally rotated by a version bump")
     cfg = RunConfig(
         duration_ticks=seconds(1), settle_ticks=millis(200), seed=4242
     )
@@ -55,10 +50,7 @@ def test_cpus1_cache_key_matches_pre_smp_engine():
 
 def test_cpus1_results_match_pre_smp_engine_golden():
     """Byte-identity with the seed (pre-refactor) engine, via recorded
-    result hashes.  Skipped after a deliberate version bump, like the
-    cache-key anchor above."""
-    if __version__ != "1.0.0":
-        pytest.skip("results intentionally changed by a version bump")
+    result hashes."""
     cfg = RunConfig(
         duration_ticks=seconds(1), settle_ticks=millis(200), seed=4242
     )
@@ -98,10 +90,7 @@ def test_system_rejects_zero_cpus():
 def test_symmetric_cpus4_results_match_pre_cfs_golden():
     """Byte-identity of the default symmetric 4-core path with the PR 4
     engine, via recorded result hashes (the round-robin policy is the
-    default; CFS only engages under a cpu_profile).  Skipped after a
-    deliberate version bump, like the cpus=1 anchors above."""
-    if __version__ != "1.0.0":
-        pytest.skip("results intentionally changed by a version bump")
+    default; CFS only engages under a cpu_profile)."""
     cfg = RunConfig(
         duration_ticks=seconds(1), settle_ticks=millis(200), seed=4242,
         cpus=4,
@@ -119,8 +108,6 @@ def test_symmetric_cpus4_results_match_pre_cfs_golden():
 def test_symmetric_cpus4_cache_key_matches_pre_cfs_engine():
     """A profile-less cpus=4 config keeps hitting the cache entries the
     PR 4 engine wrote (cpu_profile omitted from the config JSON)."""
-    if __version__ != "1.0.0":
-        pytest.skip("cache keys intentionally rotated by a version bump")
     cfg = RunConfig(
         duration_ticks=seconds(1), settle_ticks=millis(200), seed=4242,
         cpus=4,

@@ -694,6 +694,41 @@ class TestStreamedSweepCli:
             main(self.ARGV + ["--out", str(out)])
         assert os.listdir(tmp_path) == []
 
+    def test_progress_order_is_the_same_for_every_job_count(
+        self, tmp_path, capsys
+    ):
+        """Over a partly warm cache, ``--jobs 1`` and ``--jobs 2`` print
+        the same progress labels and references in the same order: cache
+        hits wait their turn behind runs still in flight."""
+        import shutil
+
+        from repro.__main__ import main
+
+        warm = str(tmp_path / "warm")
+        argv = ["--duration", "0.05", "--settle-ms", "50", "sweep",
+                "--bench", "countdown.main", "--bench", "999.specrand",
+                "--progress"]
+        assert main(argv + ["--axis", "seed=1,2", "--cache", warm]) == 0
+        lines = {}
+        for jobs in (1, 2):
+            cache = str(tmp_path / f"cache{jobs}")
+            shutil.copytree(warm, cache)
+            capsys.readouterr()
+            assert main(argv + ["--axis", "seed=1,2,3", "--cache", cache,
+                                "--jobs", str(jobs)]) == 0
+            out = capsys.readouterr().out
+            lines[jobs] = [
+                (fields[0], fields[-2])
+                for fields in map(str.split, out.splitlines())
+                if fields[-1:] == ["refs"]
+            ]
+        assert lines[1] == lines[2]
+        assert [label for label, _ in lines[1]] == [
+            f"{bench}[seed={seed}]"
+            for bench in ("countdown.main", "999.specrand")
+            for seed in (1, 2, 3)
+        ]
+
     def test_no_run_outlives_the_pool_window(self, tmp_path, monkeypatch):
         """After each completion callback, no more runs are alive than
         the pool's in-flight window: the fold keeps one value per cell
@@ -734,8 +769,17 @@ def test_writer_publishes_nothing_while_a_cell_is_missing(tmp_path):
 
     run = RunResult(bench_id="a", benchmark_comm="a", duration_ticks=1,
                     seed=1)
-    with pytest.raises(AnalysisError, match="got 0 of its 2 cells"):
+    with pytest.raises(
+        AnalysisError,
+        match=r"sweep cell a\[y\] is not the next of the file's 2 cells "
+              r"in grid order \(0 written\)",
+    ):
         with write_sweep(str(tmp_path / "sweep.json"), SweepResult(),
                          [("a", "x"), ("a", "y")]) as writer:
             writer.add("a", "y", run)
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(AnalysisError, match="got 1 of its 2 cells"):
+        with write_sweep(str(tmp_path / "sweep.json"), SweepResult(),
+                         [("a", "x"), ("a", "y")]) as writer:
+            writer.add("a", "x", run)
     assert os.listdir(tmp_path) == []
