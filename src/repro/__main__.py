@@ -28,16 +28,20 @@ Usage (installed as ``agave-repro`` or ``python -m repro``)::
 
 Execution flags (``--jobs``, ``--cache``, ``--progress``) apply wherever
 benchmarks may actually run: ``suite``, ``sweep``, ``fleet``, and any
-artifact command invoked without ``--results``.  ``--jobs 1`` (the
-default) runs every unit in this process; ``--jobs N`` with N > 1
-streams units through a pool of N worker processes, overlapping result
-I/O (cache writes, progress) with in-flight simulations.  Both produce
-byte-identical results.  ``--cpus`` selects the simulated core count
-everywhere (``cpus=1`` stays byte-identical to the pre-SMP engine,
-hitting the same cache keys).  ``--shard`` is for ``suite``, ``sweep``
-and ``fleet`` only — their outputs can be merged back together — never
-for figures/tables/claims/smp, which over a partial suite would be
-silently wrong.
+artifact command invoked without ``--results``.  ``--jobs`` defaults to
+the CPUs this process may run on.  ``--jobs 1``, and so the default on
+a one-CPU host or under ``taskset -c 0``, runs every unit in this
+process; ``--jobs N`` with N > 1 streams units through a pool of up to
+N worker processes, one per run when there are fewer runs, overlapping
+result I/O (cache writes, progress) with in-flight simulations.  Both
+produce byte-identical results.  Ctrl-C stops every unit, leaves no
+``--out`` file, and exits 130 with one line on stderr.  ``--cpus``
+selects the simulated core count everywhere (``cpus=1`` stays
+byte-identical to the pre-SMP engine, hitting the same cache keys).
+``--shard`` is for ``suite``, ``sweep`` and ``fleet`` only — their
+outputs can be merged back together — never for
+figures/tables/claims/smp, which over a partial suite would be silently
+wrong.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from typing import TYPE_CHECKING
 # own helpers, so `list` or a serial `suite` never loads the process
 # pool, the fleet and stats layers, or the analysis it does not print.
 from repro.calibration import profile_cpu_count
+from repro.core.backends import usable_cpus
 from repro.core.results import RUN_METRICS
 from repro.core.runner import RunConfig
 from repro.errors import ConfigError, ReproError
@@ -109,10 +114,15 @@ def _add_exec_flags(
     merged); artifact commands would silently draw paper-level
     conclusions from a fraction of the benchmarks.
     """
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="1 (default) runs every unit in this process; "
-                             "N > 1 streams units through a pool of N "
-                             "worker processes (same results either way)")
+    parser.add_argument("--jobs", type=int, default=usable_cpus(),
+                        metavar="N",
+                        help="1 runs every unit in this process; N > 1 "
+                             "streams units through a pool of up to N "
+                             "worker processes (same results either way; "
+                             "default: %(default)s, the CPUs this process "
+                             "may run on; timed on 2-CPU hosts only, and "
+                             "blind to a container's CPU quota, under "
+                             "which pass --jobs)")
     if sharding:
         parser.add_argument("--shard", metavar="K/N",
                             help="run only the K-th of N deterministic shards")
@@ -668,6 +678,12 @@ def main(argv: list[str] | None = None) -> int:
         # not have happened).  128+SIGPIPE matches the shell convention.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except KeyboardInterrupt:
+        # Ctrl-C: every file being written was unlinked on the way here,
+        # and the pool's shutdown joined its workers.  128+SIGINT, as
+        # for SIGPIPE.
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

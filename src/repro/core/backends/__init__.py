@@ -9,10 +9,13 @@ cache misses execute:
   through a bounded in-flight window; result I/O (cache writes,
   progress) overlaps in-flight simulations (``--jobs N > 1``).
 
-``make_backend`` builds the one ``--jobs`` selects.
+``make_backend`` builds the one ``--jobs`` selects, and
+``usable_cpus`` is the CLI's default for it.
 """
 
 from __future__ import annotations
+
+import os
 
 from repro.core.backends.base import (
     BackendError,
@@ -29,6 +32,16 @@ from repro.lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     globals(), {"AsyncBackend": "repro.core.backends.async_"}
 )
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` and cgroup cpusets narrow it), else
+    the host's count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
 
 
 def make_backend(jobs: int = 1) -> ExecutionBackend:

@@ -15,13 +15,21 @@ finished runs happen while later runs still simulate, and with no
 second thread, callbacks need no locks.  Pull order, the order
 :class:`~repro.core.backends.serial.SerialBackend` reports in, makes
 the output byte-identical whatever the completion order or job count.
+
+Ctrl-C reaches every process in the terminal's group.  A worker keeps
+SIGINT blocked except while it runs a unit, so an idle worker prints no
+traceback and a unit it starts after the signal stops at once.  The
+unit's ``KeyboardInterrupt`` comes back as its result, and the calling
+thread, interrupted itself, shuts the pool down.
 """
 
 from __future__ import annotations
 
+import signal
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.backends.base import BackendError, BatchProgress
@@ -30,27 +38,47 @@ if TYPE_CHECKING:
     from repro.core.results import RunResult
     from repro.core.runner import RunConfig
 
-#: Runs allowed in the window per worker: enough to keep the pool fed
+#: Runs allowed in the window per job: enough to keep the pool fed
 #: across fast units.  A finished run waits there for older runs, at
 #: about 40 KB decoded (tracemalloc), so a full window holds about
-#: 320 KB per worker and needs no sizing.  Cache hits never enter it.
+#: 320 KB per job and needs no sizing.  Cache hits never enter it.  The
+#: pool itself has ``min(jobs, runs)`` workers.
 INFLIGHT_PER_JOB = 8
+
+_SIGINT = {signal.SIGINT}
+
+
+def _block_sigint() -> None:
+    """Pool initializer: a Ctrl-C stays pending while the worker idles."""
+    signal.pthread_sigmask(signal.SIG_BLOCK, _SIGINT)
 
 
 def _timed_worker(bench_id: str, cfg: "RunConfig") -> "tuple[RunResult, float]":
-    """Top-level (picklable) worker: run one benchmark, report wall time."""
+    """Top-level (picklable) worker: run one benchmark, report wall time.
+
+    SIGINT is unblocked for the unit alone: a pending Ctrl-C stops it
+    before it starts.
+    """
     from repro.core.runner import execute_one
 
-    started = time.perf_counter()
-    result = execute_one(bench_id, cfg)
-    return result, time.perf_counter() - started
+    try:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _SIGINT)
+        started = time.perf_counter()
+        result = execute_one(bench_id, cfg)
+        return result, time.perf_counter() - started
+    finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, _SIGINT)
 
 
 class AsyncBackend:
-    """Feeds a pool of *jobs* worker processes and reports every run in
-    pull order, all from the calling thread.
+    """Feeds a pool of up to *jobs* worker processes and reports every
+    run in pull order, all from the calling thread.
 
-    Each pulled item is submitted at once and its future joins one FIFO
+    The pool starts once ``jobs`` items are pulled, or the stream ends,
+    with one worker per pulled item: ``min(jobs, runs)`` workers, none
+    for an empty stream.  Under the fork start method every worker forks
+    at the first submit, so ``--jobs 64`` over one run would otherwise
+    fork 64.  Each item is then submitted and its future joins one FIFO
     window.  After each pull, every finished run at the head is reported
     without waiting; a full window of ``INFLIGHT_PER_JOB * jobs`` runs
     waits on its oldest before the next pull.  That bound caps queued
@@ -96,9 +124,15 @@ class AsyncBackend:
             self.executed.append(bench_id)
             on_result(index, elapsed, result)
 
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        items = iter(items)
+        first = list(islice(items, self.jobs))
+        if not first:
+            return
+        pool = ProcessPoolExecutor(
+            max_workers=len(first), initializer=_block_sigint
+        )
         try:
-            for index, (bench_id, cfg) in enumerate(items):
+            for index, (bench_id, cfg) in enumerate(chain(first, items)):
                 future = pool.submit(_timed_worker, bench_id, cfg)
                 running.append((index, bench_id, future))
                 while running and (len(running) == window or running[0][2].done()):

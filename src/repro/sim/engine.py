@@ -245,12 +245,20 @@ class Engine:
         # Wind down: every CPU's next action is at or past the deadline.
         # Blocks already charged run to completion, so the clock lands on
         # the latest in-flight block end (or the deadline when the
-        # machine idled there); due timers fire; still-running tasks
-        # unbind back to their runqueues in CPU-id order.
+        # machine idled there); every CPU idles from its next action to
+        # there, credited as idle ticks but not charged as idle
+        # instructions, so busy + idle stays the elapsed time across
+        # calls; due timers fire; still-running tasks unbind back to
+        # their runqueues in CPU-id order.
         end = deadline
         for slot in slots:
             if slot.task is not None and slot.next_at > end:
                 end = slot.next_at
+        for slot in slots:
+            span = end - slot.next_at
+            if span > 0:
+                self.idle_ticks += span
+                self.cpu_idle_ticks[slot.index] += span
         clock.advance_to(end)
         timers.fire_due(clock.now)
         for slot in slots:

@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import sys
 import threading
 from dataclasses import replace
@@ -374,6 +375,27 @@ class TestAsyncBackend:
             QUICK_CONFIG, backend=backend, cache=ResultCache(str(tmp_path))
         ).run_suite(SUBSET[:2])
         assert backend.executed == [SUBSET[1]]
+
+    def test_a_worker_holds_ctrl_c_pending_until_it_runs_a_unit(
+        self, monkeypatch
+    ):
+        """A worker blocks SIGINT from its start, so a Ctrl-C that comes
+        before its first unit waits for that unit (which it stops)
+        instead of killing the idle worker with a traceback."""
+        from repro.core.backends import async_
+
+        monkeypatch.setattr(async_, "_timed_worker", _blocked_signals)
+        masks = []
+        AsyncBackend(jobs=2).execute_stream(
+            iter([("countdown.main", QUICK_CONFIG)]),
+            lambda i, secs, blocked: masks.append(blocked),
+        )
+        assert len(masks) == 1 and signal.SIGINT in masks[0]
+
+
+def _blocked_signals(bench_id, cfg):
+    """A stand-in pool unit: the signals its worker blocks on entry."""
+    return signal.pthread_sigmask(signal.SIG_BLOCK, ()), 0.0
 
 
 # ----------------------------------------------------------------------
@@ -985,3 +1007,93 @@ class TestCli:
         assert exc.value.code == 2
         assert "the following arguments are required: --max-bytes" in \
             capsys.readouterr().err
+
+
+def _count_forks(monkeypatch) -> "list[str]":
+    """The name of every process the fork start method launches from
+    now on (a pool forks all its workers at its first submit)."""
+    from multiprocessing import popen_fork
+
+    launched: "list[str]" = []
+    launch = popen_fork.Popen._launch
+
+    def counting(self, process_obj):
+        launched.append(process_obj.name)
+        return launch(self, process_obj)
+
+    monkeypatch.setattr(popen_fork.Popen, "_launch", counting)
+    return launched
+
+
+class TestDefaultJobs:
+    """``--jobs`` defaults to the CPUs this process may run on, and the
+    pool forks no more workers than it has runs."""
+
+    QUICK = ["--duration", "0.05", "--settle-ms", "10"]
+
+    @pytest.mark.parametrize("affinity, expected", (
+        ({0}, 1), ({0, 1, 2}, 3), (None, os.cpu_count() or 1),
+    ), ids=("one-cpu", "three-cpus", "no-affinity"))
+    def test_jobs_defaults_to_the_usable_cpus(
+        self, monkeypatch, capsys, affinity, expected
+    ):
+        """The default used to be 1 whatever the host, so the paper's
+        suite ran on one CPU of many."""
+        from repro.__main__ import make_parser
+
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        for command in ("suite", "sweep", "faults", "fleet", "claims"):
+            assert make_parser().parse_args([command]).jobs == expected
+        with pytest.raises(SystemExit):
+            make_parser().parse_args(["suite", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"default: {expected}, the CPUs this process may run on" \
+            in help_text
+
+    @pytest.mark.parametrize("benches", (
+        ["countdown.main"], ["countdown.main", "999.specrand"],
+    ), ids=("one-run", "two-runs"))
+    def test_the_pool_forks_one_worker_per_run_up_to_jobs(
+        self, monkeypatch, benches
+    ):
+        """``suite --jobs 4`` over one benchmark used to fork 4 workers."""
+        from repro.__main__ import main
+
+        launched = _count_forks(monkeypatch)
+        argv = [*self.QUICK, "suite", "--jobs", "4"]
+        for bench_id in benches:
+            argv += ["--bench", bench_id]
+        assert main(argv) == 0
+        assert len(launched) == len(benches)
+
+    def test_a_fully_cached_batch_forks_no_worker(self, tmp_path, monkeypatch):
+        from repro.__main__ import main
+
+        argv = [*self.QUICK, "suite", "--cache", str(tmp_path),
+                "--bench", "countdown.main", "--bench", "999.specrand"]
+        assert main([*argv, "--jobs", "1"]) == 0
+        launched = _count_forks(monkeypatch)
+        assert main([*argv, "--jobs", "4"]) == 0
+        assert launched == []
+
+    def test_the_default_pool_writes_the_serial_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        """On two CPUs a suite without ``--jobs`` runs on a two-worker
+        pool and saves the bytes ``--jobs 1`` saves."""
+        from repro.__main__ import main
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        launched = _count_forks(monkeypatch)
+        argv = ["--duration", "0.2", "--settle-ms", "50", "suite",
+                "--bench", "countdown.main", "--bench", "music.mp3.view",
+                "--bench", "999.specrand"]
+        pooled, serial = tmp_path / "default.json", tmp_path / "serial.json"
+        assert main([*argv, "--out", str(pooled)]) == 0
+        assert len(launched) == 2
+        assert main([*argv, "--jobs", "1", "--out", str(serial)]) == 0
+        assert len(launched) == 2
+        assert pooled.read_bytes() == serial.read_bytes()

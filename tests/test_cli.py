@@ -1,7 +1,14 @@
 """The command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
+import repro
 from repro.__main__ import main, make_parser
 
 
@@ -152,3 +159,40 @@ def test_unwritable_out_fails_before_any_unit_runs(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert f"error: cannot write {out}" in captured.err
     assert captured.out == ""           # no progress line: nothing ran
+
+
+@pytest.mark.parametrize("jobs", ("1", "2"), ids=("serial", "pool"))
+def test_ctrl_c_exits_130_with_one_line_and_leaves_nothing(tmp_path, jobs):
+    """Ctrl-C used to print a traceback per process (58 lines serially;
+    on a pool, one more from each idle worker) and kill the command by
+    the signal.  Sent to the whole process group, as a terminal sends
+    it, once the short unit reports: the long unit (about a minute on
+    a 2-vCPU host) stops at once, and no file or process is left."""
+    out, cache = tmp_path / "sweep.json", tmp_path / "cache"
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "--settle-ms", "10", "sweep",
+         "--axis", "duration=0.05,3000", "--bench", "vlc.mp4.view",
+         "--jobs", jobs, "--progress", "--cache", str(cache),
+         "--out", str(out)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        assert "[duration=0.05]" in proc.stdout.readline()
+        os.killpg(proc.pid, signal.SIGINT)
+        sent = time.monotonic()
+        _, err = proc.communicate(timeout=60)
+        waited = time.monotonic() - sent
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err) == (130, "interrupted\n")
+    assert waited < 5
+    assert not out.exists()
+    assert [p.name for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -38,7 +38,7 @@ def _imported(argv: "list[str]", cwd) -> "set[str]":
 
 
 @pytest.mark.parametrize("argv, needed", (
-    (["--duration", "0.05", "--settle-ms", "10", "suite",
+    (["--duration", "0.05", "--settle-ms", "10", "suite", "--jobs", "1",
       "--bench", "countdown.main"], "repro.sim.engine"),
     (["list"], "repro.core.suite"),
 ), ids=("serial-suite", "list"))

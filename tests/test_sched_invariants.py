@@ -23,6 +23,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
 from repro.kernel.sched import (
@@ -354,11 +356,40 @@ def test_engine_mix_holds_global_invariants(profile, cpus, seed):
         cpu.busy_ticks for cpu in system.cpus
     )
     # Time conservation, per CPU: busy plus idle covers every tick of
-    # the run, so no idle span is dropped or charged twice (the mix
-    # finishes before the deadline, so no block runs past it).
+    # the run, so no idle span is dropped or charged twice.
     for cpu in system.cpus:
         idle = system.engine.cpu_idle_ticks[cpu.cpu_id]
         assert cpu.busy_ticks + idle == system.clock.now, cpu.cpu_id
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    machine=st.sampled_from([(None, 1), (None, 2), ("2+2", 4)]),
+    seed=st.integers(0, 10_000),
+    spans=st.lists(st.integers(1, 60_000), min_size=1, max_size=12),
+)
+def test_time_is_conserved_across_run_for_calls(machine, seed, spans):
+    """Busy plus idle ticks equal the elapsed time on every CPU after
+    every ``run_for`` call.  A deadline that falls inside a block moves
+    the clock to that block's end, and every CPU whose next action
+    came earlier used to lose the overrun, counted neither busy nor
+    idle (27 of 247 app CPU-windows split into 100 ms calls)."""
+    profile, cpus = machine
+    system = System(seed=seed, cpus=cpus, cpu_profile=profile)
+    system.boot_kernel()
+    _spawn_random_mix(system, seed)
+    engine = system.engine
+    start = system.clock.now
+    busy = [cpu.busy_ticks for cpu in system.cpus]
+    idle = list(engine.cpu_idle_ticks)
+    for span in spans:
+        system.run_for(span)
+        elapsed = system.clock.now - start
+        for i, cpu in enumerate(system.cpus):
+            assert (cpu.busy_ticks - busy[i]) + (
+                engine.cpu_idle_ticks[i] - idle[i]
+            ) == elapsed, (i, span)
+    assert engine.idle_ticks == sum(engine.cpu_idle_ticks)
 
 
 def test_engine_mix_is_deterministic_under_cfs():
