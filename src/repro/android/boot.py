@@ -8,25 +8,23 @@ launcher and systemui, plus the quiet Dalvik residents — reproducing the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.android.binder import ServiceRegistry
 from repro.android.installer import Installer
 from repro.android.looper import Looper
 from repro.android.mediaserver import MediaServerHandle, boot_mediaserver
-from repro.android.surfaceflinger import Surface
 from repro.android.system_server import SystemServerHandle, boot_system_server
 from repro.dalvik.vm import dalvik_context
 from repro.dalvik.zygote import Zygote
 from repro.kernel.syscalls import kernel_exec
-from repro.libs import regions, skia
+from repro.libs import skia
 from repro.libs.registry import framework_veneer, resolve, run_ctors
 from repro.sim.ops import Op, Sleep
 from repro.sim.ticks import millis, seconds
 
 if TYPE_CHECKING:
-    from repro.android.binder import BinderHost
     from repro.kernel.task import Process, Task
     from repro.sim.system import System
 
@@ -65,8 +63,6 @@ class AndroidStack:
     installer: Installer
     launcher_proc: "Process"
     launcher_looper: Looper
-    systemui_proc: "Process"
-    daemons: list["Process"] = field(default_factory=list)
     jit_enabled: bool = True
 
     @property
@@ -87,9 +83,8 @@ def boot_android(system: "System", jit_enabled: bool = True) -> AndroidStack:
     the engine (e.g. ``system.run_for(settle)``) to let init complete
     before opening a measurement window.
     """
-    kernel = system.kernel
     system.boot_kernel()
-    daemons = _spawn_daemons(system)
+    _spawn_daemons(system)
 
     registry = ServiceRegistry()
     zygote = Zygote(system)
@@ -100,13 +95,11 @@ def boot_android(system: "System", jit_enabled: bool = True) -> AndroidStack:
     installer = Installer(system, zygote)
     ss.installer = installer
 
-    launcher_proc, launcher_looper = _boot_launcher(
-        system, registry, zygote, ss, jit_enabled
-    )
-    systemui_proc = _boot_systemui(system, registry, zygote, ss, jit_enabled)
-    _boot_residents(system, zygote, jit_enabled)
+    launcher_proc, launcher_looper = _boot_launcher(system, zygote, ss, jit_enabled)
+    _boot_systemui(zygote, ss, jit_enabled)
+    _boot_residents(zygote, jit_enabled)
 
-    stack = AndroidStack(
+    return AndroidStack(
         system=system,
         zygote=zygote,
         registry=registry,
@@ -115,11 +108,8 @@ def boot_android(system: "System", jit_enabled: bool = True) -> AndroidStack:
         installer=installer,
         launcher_proc=launcher_proc,
         launcher_looper=launcher_looper,
-        systemui_proc=systemui_proc,
-        daemons=daemons,
         jit_enabled=jit_enabled,
     )
-    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -128,88 +118,66 @@ def boot_android(system: "System", jit_enabled: bool = True) -> AndroidStack:
 # the spawned task to get the thread's op generator.
 
 
-class _DaemonMain:
+def _daemon_main(
+    proc: "Process", period_ms: int, insts: int, libs: tuple[str, ...]
+):
     """A native daemon's ctor run + periodic poll loop."""
 
-    def __init__(
-        self, proc: "Process", period_ms: int, insts: int, libs: tuple[str, ...]
-    ) -> None:
-        self.proc = proc
-        self.period_ms = period_ms
-        self.insts = insts
-        self.libs = libs
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        proc = self.proc
-        yield from run_ctors(proc, self.libs)
+    def behavior(task: "Task") -> Iterator[Op]:
+        yield from run_ctors(proc, libs)
         while True:
-            yield Sleep(millis(self.period_ms))
-            yield kernel_exec(f"daemon_poll:{proc.comm}", self.insts, 40)
+            yield Sleep(millis(period_ms))
+            yield kernel_exec(f"daemon_poll:{proc.comm}", insts, 40)
             yield from framework_veneer(proc, nlibs=2, insts_each=90)
 
+    return behavior
 
-def _spawn_daemons(system: "System") -> list["Process"]:
+
+def _spawn_daemons(system: "System") -> None:
     kernel = system.kernel
-    procs: list["Process"] = []
     for name, period_ms, insts, extra in DAEMON_SPECS:
         proc = kernel.spawn_process(name)
         libs = DAEMON_LIBS + extra
         kernel.loader.map_many(proc, resolve(libs))
-        kernel.set_main_behavior(proc, _DaemonMain(proc, period_ms, insts, libs))
-        procs.append(proc)
-    return procs
+        kernel.set_main_behavior(proc, _daemon_main(proc, period_ms, insts, libs))
 
 
-class _LauncherMain:
-    """The home screen: draws once, then serves launch messages.
+def _boot_launcher(
+    system: "System", zygote: Zygote, ss: SystemServerHandle,
+    jit_enabled: bool = True,
+) -> tuple["Process", Looper]:
+    """The home screen: draws once, then serves launch messages."""
 
-    ``looper`` is attached after construction (the Looper needs the
-    forked process, which needs this behaviour first).
-    """
-
-    def __init__(self, ss: SystemServerHandle) -> None:
-        self.ss = ss
-        self.looper: Looper | None = None
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
+    def main(task: "Task") -> Iterator[Op]:
         proc = task.process
         ctx = dalvik_context(proc)
-        surface = self.ss.sf.create_surface(proc, "home", 800, 480, z=0)
+        surface = ss.sf.create_surface(proc, "home", 800, 480, z=0)
         yield ctx.resolve_classes(220)
         # Wallpaper + icon grid.
         yield skia.decode_image(proc, ctx.cal, 384_000, ctx.heap_addr(1))
         yield skia.canvas_setup(proc)
         yield from skia.raster(proc, ctx.cal, 384_000, surface.canvas_addr)
         yield from surface.post()
-        assert self.looper is not None
-        yield from self.looper.behavior(task)
+        yield from looper.behavior(task)
 
-
-def _boot_launcher(
-    system: "System", registry: ServiceRegistry, zygote: Zygote,
-    ss: SystemServerHandle, jit_enabled: bool = True,
-) -> tuple["Process", Looper]:
-    """The home screen: draws once, then serves launch messages."""
-    kernel = system.kernel
-    main = _LauncherMain(ss)
     proc, _ctx = zygote.fork_dalvik(
         "com.android.launcher", main, jit_enabled=jit_enabled
     )
-    looper = Looper(kernel, proc, "main")
-    main.looper = looper
+    # The Looper needs the forked process, so it is bound after the fork;
+    # main's body first runs at the thread's first dispatch, after boot.
+    looper = Looper(system.kernel, proc, "main")
     return proc, looper
 
 
-class _SystemUiMain:
+def _boot_systemui(
+    zygote: Zygote, ss: SystemServerHandle, jit_enabled: bool = True
+) -> None:
     """Status bar: 1Hz clock updates keep a small SF layer live."""
 
-    def __init__(self, ss: SystemServerHandle) -> None:
-        self.ss = ss
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
+    def main(task: "Task") -> Iterator[Op]:
         proc = task.process
         ctx = dalvik_context(proc)
-        surface = self.ss.sf.create_surface(proc, "statusbar", 800, 38, z=10)
+        surface = ss.sf.create_surface(proc, "statusbar", 800, 38, z=10)
         yield ctx.resolve_classes(160)
         yield skia.canvas_setup(proc)
         yield from skia.raster(proc, ctx.cal, surface.pixels, surface.canvas_addr)
@@ -221,43 +189,29 @@ class _SystemUiMain:
             yield from skia.raster(proc, ctx.cal, 6_000, surface.canvas_addr)
             yield from surface.post()
 
-
-def _boot_systemui(
-    system: "System", registry: ServiceRegistry, zygote: Zygote,
-    ss: SystemServerHandle, jit_enabled: bool = True,
-) -> "Process":
-    """Status bar: 1Hz clock updates keep a small SF layer live."""
-    proc, _ctx = zygote.fork_dalvik(
-        "com.android.systemui", _SystemUiMain(ss), jit_enabled=jit_enabled
-    )
-    return proc
+    zygote.fork_dalvik("com.android.systemui", main, jit_enabled=jit_enabled)
 
 
-class _ResidentMain:
+def _resident_main(classes: int, period_ms: int):
     """A quiet Dalvik resident: resolve classes, then idle allocations."""
 
-    def __init__(self, classes: int, period_ms: int) -> None:
-        self.classes = classes
-        self.period_ms = period_ms
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        proc = task.process
-        ctx = dalvik_context(proc)
-        yield ctx.resolve_classes(self.classes)
+    def behavior(task: "Task") -> Iterator[Op]:
+        ctx = dalvik_context(task.process)
+        yield ctx.resolve_classes(classes)
         while True:
-            yield Sleep(millis(self.period_ms))
+            yield Sleep(millis(period_ms))
             yield ctx.alloc(128)
 
+    return behavior
 
-def _boot_residents(
-    system: "System", zygote: Zygote, jit_enabled: bool = True
-) -> None:
+
+def _boot_residents(zygote: Zygote, jit_enabled: bool = True) -> None:
     """Quiet Dalvik residents: acore and phone."""
     zygote.fork_dalvik(
-        "android.process.acore", _ResidentMain(140, 3_000), jit_enabled=jit_enabled
+        "android.process.acore", _resident_main(140, 3_000), jit_enabled=jit_enabled
     )
     zygote.fork_dalvik(
-        "com.android.phone", _ResidentMain(120, 2_000),
+        "com.android.phone", _resident_main(120, 2_000),
         extra_libs=("libril.so",),
         jit_enabled=jit_enabled,
     )

@@ -22,7 +22,7 @@ from repro.kernel.syscalls import kernel_exec
 from repro.kernel.vma import LABEL_FB0, PERM_RW, VMAKind
 from repro.libs import bionic, regions, stagefright
 from repro.libs.registry import framework_veneer, mapped_object, resolve, run_ctors
-from repro.sim.ops import ExecBlock, Op, Sleep, merge_data
+from repro.sim.ops import Op, Sleep, merge_data
 from repro.sim.ticks import millis
 
 if TYPE_CHECKING:
@@ -241,19 +241,6 @@ class MediaServerHandle:
     mps: MediaPlayerService
 
 
-class _MediaserverMain:
-    """mediaserver's main loop (behaviour factory)."""
-
-    def __init__(self, proc: "Process") -> None:
-        self.proc = proc
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        yield from run_ctors(self.proc, MEDIASERVER_LIBS)
-        while True:
-            yield Sleep(millis(2_000))
-            yield kernel_exec("mediaserver_housekeeping", 500, 40)
-
-
 def boot_mediaserver(
     system: "System", sf: SurfaceFlinger, registry: ServiceRegistry
 ) -> MediaServerHandle:
@@ -262,7 +249,14 @@ def boot_mediaserver(
     proc = kernel.spawn_process("mediaserver", behavior=None)
     kernel.loader.map_many(proc, resolve(MEDIASERVER_LIBS))
     regions.ensure_property_space(proc)
-    kernel.set_main_behavior(proc, _MediaserverMain(proc))
+
+    def main(task: "Task") -> Iterator[Op]:
+        yield from run_ctors(proc, MEDIASERVER_LIBS)
+        while True:
+            yield Sleep(millis(2_000))
+            yield kernel_exec("mediaserver_housekeeping", 500, 40)
+
+    kernel.set_main_behavior(proc, main)
 
     host = BinderHost(kernel, proc, nthreads=3)
     af = AudioFlinger(system, proc)

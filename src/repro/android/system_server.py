@@ -43,30 +43,6 @@ class SystemServerHandle:
     activities_started: int = field(default=0)
 
 
-class _ServerMain:
-    """ActivityManager's home thread loop.
-
-    ``handle`` is attached after construction (the handle needs the
-    forked process, which needs this behaviour first).  The generator
-    body reads it only once the thread first runs.
-    """
-
-    def __init__(self) -> None:
-        self.handle: SystemServerHandle | None = None
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        # ActivityManager's home thread: android.server.ServerThread.
-        task.set_name("android.server.ServerThread")
-        handle = self.handle
-        assert handle is not None
-        while True:
-            yield Sleep(millis(500))
-            # Battery stats, alarms, activity timeouts.
-            for method in handle.methods.pick_batch(5):
-                yield handle.ctx.interpret(method, reps=8, task=task)
-            yield from framework_veneer(handle.proc, nlibs=5, insts_each=130)
-
-
 def boot_system_server(
     system: "System", registry: ServiceRegistry, zygote: Zygote,
     jit_enabled: bool = True,
@@ -76,7 +52,17 @@ def boot_system_server(
     methods = MethodTable.generate(
         seed=system.seed ^ 0x5E41, prefix="android.server", count=140, avg_bytecodes=360
     )
-    main = _ServerMain()
+
+    def main(task: "Task") -> Iterator[Op]:
+        # ActivityManager's home thread: android.server.ServerThread.
+        task.set_name("android.server.ServerThread")
+        while True:
+            yield Sleep(millis(500))
+            # Battery stats, alarms, activity timeouts.
+            for method in handle.methods.pick_batch(5):
+                yield handle.ctx.interpret(method, reps=8, task=task)
+            yield from framework_veneer(handle.proc, nlibs=5, insts_each=130)
+
     proc, ctx = zygote.fork_dalvik(
         "system_server",
         main,
@@ -92,15 +78,16 @@ def boot_system_server(
         affinity=system.big_cpu(0), nice=-8,
     )
     host = BinderHost(kernel, proc, nthreads=8)
+    # The handle needs the forked process, so it is bound after the fork;
+    # main's body first runs at the thread's first dispatch, after boot.
     handle = SystemServerHandle(proc, ctx, host, sf, methods)
-    main.handle = handle
 
     services = _ServiceImpls(system, handle, zygote)
     registry.add("activity", host, services.handle_activity)
     registry.add("window", host, services.handle_window)
     registry.add("package", host, services.handle_package)
     for name in ("power", "alarm", "audio.policy", "sensorservice", "connectivity"):
-        registry.add(name, host, services.make_small_service(name))
+        registry.add(name, host, services.handle_small)
 
     _spawn_framework_threads(system, handle)
     return handle
@@ -196,55 +183,38 @@ class _ServiceImpls:
 
     # -- Small services ----------------------------------------------------
 
-    def make_small_service(self, name: str) -> "_SmallService":
-        return _SmallService(self.handle)
-
-
-class _SmallService:
-    """A tiny registry-backed service handler."""
-
-    def __init__(self, handle: SystemServerHandle) -> None:
-        self.handle = handle
-
-    def __call__(self, txn: Transaction) -> Iterator[Op]:
+    def handle_small(self, txn: Transaction) -> Iterator[Op]:
+        """The handler the five small services share (power, alarm,
+        audio.policy, sensorservice, connectivity)."""
         handle = self.handle
         for method in handle.methods.pick_batch(3):
             yield handle.ctx.interpret(method)
 
 
-class _InputThread:
-    """InputReader/InputDispatcher: a 50Hz libinput poll loop."""
+def _spawn_framework_threads(system: "System", handle: SystemServerHandle) -> None:
+    """InputReader / InputDispatcher / watchdog."""
+    kernel = system.kernel
+    proc = handle.proc
 
-    def __init__(self, proc: "Process", insts: int) -> None:
-        self.proc = proc
-        self.insts = insts
+    def input_thread(insts: int):
+        """InputReader/InputDispatcher: a 50Hz libinput poll loop."""
 
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        libinput = mapped_object(self.proc, "libinput.so")
-        while True:
-            yield Sleep(millis(20))
-            yield libinput.call("dispatch_event", insts=self.insts)
+        def behavior(task: "Task") -> Iterator[Op]:
+            libinput = mapped_object(proc, "libinput.so")
+            while True:
+                yield Sleep(millis(20))
+                yield libinput.call("dispatch_event", insts=insts)
 
+        return behavior
 
-class _Watchdog:
-    """system_server's watchdog: periodic liveness checks."""
-
-    def __init__(self, handle: SystemServerHandle) -> None:
-        self.handle = handle
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        handle = self.handle
+    def watchdog(task: "Task") -> Iterator[Op]:
+        """system_server's watchdog: periodic liveness checks."""
         while True:
             yield Sleep(millis(4_000))
             yield kernel_exec("watchdog_check", 900, 80)
             for method in handle.methods.pick_batch(2):
                 yield handle.ctx.interpret(method)
 
-
-def _spawn_framework_threads(system: "System", handle: SystemServerHandle) -> None:
-    """InputReader / InputDispatcher / watchdog / PowerManagerService."""
-    kernel = system.kernel
-    proc = handle.proc
-    kernel.spawn_thread(proc, "InputReader", _InputThread(proc, 180))
-    kernel.spawn_thread(proc, "InputDispatcher", _InputThread(proc, 140))
-    kernel.spawn_thread(proc, "watchdog", _Watchdog(handle))
+    kernel.spawn_thread(proc, "InputReader", input_thread(180))
+    kernel.spawn_thread(proc, "InputDispatcher", input_thread(140))
+    kernel.spawn_thread(proc, "watchdog", watchdog)

@@ -223,7 +223,7 @@ def _run_spec(spec: BenchmarkSpec, cfg: RunConfig) -> RunResult:
     window = _open_window(system)
     injector = None
     if cfg.faults is not None:
-        injector = FaultInjector(cfg.faults, seed, system, stack)
+        injector = FaultInjector(cfg.faults, seed, system)
         injector.arm(system.clock.now)
     try:
         if spec.is_android:

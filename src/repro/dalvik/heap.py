@@ -18,14 +18,10 @@ if TYPE_CHECKING:
     from repro.kernel.task import Task
 
 
-class GcThread:
-    """A process's GC thread (behaviour factory)."""
+def gc_thread(ctx: DalvikContext):
+    """Behaviour factory for a process's GC thread."""
 
-    def __init__(self, ctx: DalvikContext) -> None:
-        self.ctx = ctx
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        ctx = self.ctx
+    def behavior(task: "Task") -> Iterator[Op]:
         libdvm = mapped_object(ctx.proc, "libdvm.so")
         while True:
             if not ctx.gc_pending:
@@ -49,20 +45,13 @@ class GcThread:
             ctx.live_bytes = int(ctx.live_bytes * cal.gc_survivor_ratio)
             ctx.gc_cycles += 1
 
-
-def gc_thread(ctx: DalvikContext) -> GcThread:
-    """Behaviour factory for a process's GC thread."""
-    return GcThread(ctx)
+    return behavior
 
 
-class HeapWorkerThread:
-    """HeapWorker (finalisers, ref enqueueing) — behaviour factory."""
+def heap_worker_thread(ctx: DalvikContext):
+    """Behaviour factory for HeapWorker (finalisers, ref enqueueing)."""
 
-    def __init__(self, ctx: DalvikContext) -> None:
-        self.ctx = ctx
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        ctx = self.ctx
+    def behavior(task: "Task") -> Iterator[Op]:
         libdvm = mapped_object(ctx.proc, "libdvm.so")
         while True:
             yield Sleep(millis(700))
@@ -70,30 +59,21 @@ class HeapWorkerThread:
                 "dvmAllocObject", insts=900, data=((ctx.heap_addr(5), 80),)
             )
 
-
-def heap_worker_thread(ctx: DalvikContext) -> HeapWorkerThread:
-    """Behaviour factory for HeapWorker (finalisers, ref enqueueing)."""
-    return HeapWorkerThread(ctx)
+    return behavior
 
 
-class IdleVmThread:
-    """Near-idle VM threads (Signal Catcher, JDWP) — behaviour factory.
+def idle_vm_thread(name: str):
+    """Behaviour factory for near-idle VM threads (Signal Catcher, JDWP).
 
     They exist for the paper's thread-count claims and park immediately
     after a tiny startup burst.
     """
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
+    def behavior(task: "Task") -> Iterator[Op]:
         from repro.kernel.syscalls import kernel_exec
 
-        yield kernel_exec(f"vm_thread_start:{self.name}", 400, 40)
+        yield kernel_exec(f"vm_thread_start:{name}", 400, 40)
         while True:
             yield Sleep(millis(5_000))
 
-
-def idle_vm_thread(name: str) -> IdleVmThread:
-    """Behaviour factory for near-idle VM threads (Signal Catcher, JDWP)."""
-    return IdleVmThread(name)
+    return behavior

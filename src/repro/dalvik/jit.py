@@ -19,14 +19,10 @@ if TYPE_CHECKING:
     from repro.kernel.task import Task
 
 
-class CompilerThread:
-    """A process's Compiler thread (behaviour factory)."""
+def compiler_thread(ctx: DalvikContext):
+    """Behaviour factory for a process's Compiler thread."""
 
-    def __init__(self, ctx: DalvikContext) -> None:
-        self.ctx = ctx
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        ctx = self.ctx
+    def behavior(task: "Task") -> Iterator[Op]:
         libdvm = mapped_object(ctx.proc, "libdvm.so")
         while True:
             if not ctx.jit_queue:
@@ -49,7 +45,4 @@ class CompilerThread:
                 ),
             )
 
-
-def compiler_thread(ctx: DalvikContext) -> CompilerThread:
-    """Behaviour factory for a process's Compiler thread."""
-    return CompilerThread(ctx)
+    return behavior

@@ -42,36 +42,6 @@ ZYGOTE_LIBS: tuple[str, ...] = (
 PRELOAD_CLASSES = 1_800
 
 
-class _Specialised:
-    """Post-fork specialisation prologue + the app's main behaviour."""
-
-    def __init__(
-        self,
-        child: "Process",
-        ctx: DalvikContext,
-        extra_libs: tuple[str, ...],
-        full_name: str,
-        main_behavior: Callable[["Task"], Iterator[Op]],
-    ) -> None:
-        self.child = child
-        self.ctx = ctx
-        self.extra_libs = extra_libs
-        self.full_name = full_name
-        self.main_behavior = main_behavior
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        # Post-fork specialisation, charged to app_process: the
-        # app_process main() shim runs first, then class binding.
-        child = self.child
-        shim = child.libmap["app_process"]
-        yield shim.call("main_shim")  # type: ignore[union-attr]
-        yield self.ctx.resolve_classes(140)
-        if self.extra_libs:
-            yield from run_ctors(child, self.extra_libs)
-        child.set_comm(self.full_name)
-        yield from self.main_behavior(task)
-
-
 class Zygote:
     """The app_process factory."""
 
@@ -147,9 +117,18 @@ class Zygote:
             jit_enabled=jit_enabled, primary_dex=primary_dex,
         )
 
-        kernel.attach_forked_main(
-            child, _Specialised(child, ctx, extra_libs, full_name, main_behavior)
-        )
+        def specialised(task: "Task") -> Iterator[Op]:
+            # Post-fork specialisation, charged to app_process: the
+            # app_process main() shim runs first, then class binding.
+            shim = child.libmap["app_process"]
+            yield shim.call("main_shim")  # type: ignore[union-attr]
+            yield ctx.resolve_classes(140)
+            if extra_libs:
+                yield from run_ctors(child, extra_libs)
+            child.set_comm(full_name)
+            yield from main_behavior(task)
+
+        kernel.attach_forked_main(child, specialised)
         kernel.spawn_thread(child, "GC", gc_thread(ctx))
         if jit_enabled:
             kernel.spawn_thread(child, "Compiler", compiler_thread(ctx))

@@ -29,8 +29,8 @@ from repro.faults.plan import FaultPlan, ThreadKill, ThrottleWindow
 from repro.sim.ticks import millis
 
 if TYPE_CHECKING:
-    from repro.android.boot import AndroidStack
     from repro.android.binder import Transaction
+    from repro.kernel.task import Task
     from repro.sim.system import System
 
 #: Codes whose senders never read the reply: a failed delivery can be
@@ -52,6 +52,18 @@ COUNTER_KEYS = (
     "throttle_events",
 )
 
+#: The framework threads a ``restart`` respawns, as ``(process comm,
+#: thread name)``: each is spawned again exactly as boot spawned it.  A
+#: restart of any other thread does nothing; its kill still counts in
+#: ``threads_killed``, and ``threads_restarted`` does not move.
+RESTARTED_THREADS = frozenset({
+    ("system_server", "SurfaceFlinger"),
+    ("system_server", "InputReader"),
+    ("system_server", "InputDispatcher"),
+    ("system_server", "watchdog"),
+    ("mediaserver", "AudioOut_1"),
+})
+
 _SEED_MIX = 2_654_435_761
 
 
@@ -63,16 +75,9 @@ def channel_rng(seed: int, channel: str) -> random.Random:
 class FaultInjector:
     """Executes one plan against one prepared system."""
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        seed: int,
-        system: "System",
-        stack: "AndroidStack | None" = None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan, seed: int, system: "System") -> None:
         self.plan = plan
         self.system = system
-        self.stack = stack
         self._binder_rng = channel_rng(seed, "binder")
         self._counters = {key: 0 for key in COUNTER_KEYS}
         self._kills_unmatched = 0
@@ -157,50 +162,17 @@ class FaultInjector:
         self.system.kernel.reap_task(victim)
         self._counters["threads_killed"] += 1
         if kill.restart_ms > 0:
-            self._push(now + millis(kill.restart_ms), "restart", kill)
+            self._push(now + millis(kill.restart_ms), "restart", victim)
 
-    def _fire_restart(self, kill: ThreadKill) -> None:
-        if self._respawn(kill):
-            self._counters["threads_restarted"] += 1
-
-    def _respawn(self, kill: ThreadKill) -> bool:
-        """Re-create a known service thread exactly as boot spawned it."""
-        stack = self.stack
-        if stack is None:
-            return False
-        system = self.system
-        kernel = system.kernel
-        key = (kill.proc, kill.thread)
-        if key == ("system_server", "SurfaceFlinger"):
-            ss = stack.system_server
-            kernel.spawn_thread(
-                ss.proc, "SurfaceFlinger", ss.sf.thread_behavior,
-                affinity=system.big_cpu(0), nice=-8,
-            )
-            return True
-        if key == ("mediaserver", "AudioOut_1"):
-            ms = stack.mediaserver
-            kernel.spawn_thread(
-                ms.proc, "AudioOut_1", ms.af.mixer_behavior,
-                affinity=system.big_cpu(1), nice=-16,
-            )
-            return True
-        if kill.proc == "system_server" and kill.thread in (
-            "InputReader", "InputDispatcher",
-        ):
-            from repro.android.system_server import _InputThread
-
-            ss = stack.system_server
-            insts = 180 if kill.thread == "InputReader" else 140
-            kernel.spawn_thread(ss.proc, kill.thread, _InputThread(ss.proc, insts))
-            return True
-        if key == ("system_server", "watchdog"):
-            from repro.android.system_server import _Watchdog
-
-            ss = stack.system_server
-            kernel.spawn_thread(ss.proc, "watchdog", _Watchdog(ss))
-            return True
-        return False
+    def _fire_restart(self, victim: "Task") -> None:
+        """Repeat the spawn the kernel recorded for a framework thread."""
+        if (victim.process.comm, victim.name) not in RESTARTED_THREADS:
+            return
+        self.system.kernel.spawn_thread(
+            victim.process, victim.name, victim.factory,
+            affinity=victim.affinity, nice=victim.nice,
+        )
+        self._counters["threads_restarted"] += 1
 
     def _fire_evict(self) -> None:
         evicted = self.system.fs.evict_all()

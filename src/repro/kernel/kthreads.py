@@ -20,16 +20,10 @@ if TYPE_CHECKING:
     from repro.kernel.task import Task
 
 
-class AtaWorker:
-    """The ``ata_sff/0`` service loop (behaviour factory)."""
+def ata_worker(kernel: "Kernel", storage: StorageDevice):
+    """Factory for the ``ata_sff/0`` service loop."""
 
-    def __init__(self, kernel: "Kernel", storage: StorageDevice) -> None:
-        self.kernel = kernel
-        self.storage = storage
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        kernel = self.kernel
-        storage = self.storage
+    def behavior(task: "Task") -> Iterator[Op]:
         storage.worker_q = kernel.new_waitq("ata_sff/0")
         while True:
             req = storage.pop()
@@ -47,34 +41,20 @@ class AtaWorker:
             req.serviced = True
             req.completion_q.wake_all()
 
-
-def ata_worker(kernel: "Kernel", storage: StorageDevice) -> AtaWorker:
-    """Factory for the ``ata_sff/0`` service loop."""
-    return AtaWorker(kernel, storage)
-
-
-class PeriodicHousekeeper:
-    """A quiet periodic kthread loop (behaviour factory)."""
-
-    def __init__(
-        self, period_ticks: int, entry: str, insts: int, data_words: int
-    ) -> None:
-        self.period_ticks = period_ticks
-        self.entry = entry
-        self.insts = insts
-        self.data_words = data_words
-
-    def __call__(self, task: "Task") -> Iterator[Op]:
-        while True:
-            yield Sleep(self.period_ticks)
-            yield kernel_exec(self.entry, self.insts, self.data_words)
+    return behavior
 
 
 def periodic_housekeeper(
     period_ticks: int, entry: str, insts: int, data_words: int
-) -> PeriodicHousekeeper:
+):
     """Factory for quiet periodic kthreads (ksoftirqd, kswapd...)."""
-    return PeriodicHousekeeper(period_ticks, entry, insts, data_words)
+
+    def behavior(task: "Task") -> Iterator[Op]:
+        while True:
+            yield Sleep(period_ticks)
+            yield kernel_exec(entry, insts, data_words)
+
+    return behavior
 
 
 def spawn_standard_kthreads(kernel: "Kernel", storage: StorageDevice) -> None:

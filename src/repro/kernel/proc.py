@@ -244,6 +244,7 @@ class Kernel:
         if behavior is None:
             return
         if callable(behavior):
+            task.factory = behavior
             task.behavior = behavior(task)
         else:
             task.behavior = behavior

@@ -22,6 +22,7 @@ from repro.kernel.layout import truncate_comm
 from repro.kernel.vma import VMA
 
 if TYPE_CHECKING:
+    from repro.kernel.proc import BehaviorFactory
     from repro.kernel.sched import Scheduler
     from repro.kernel.waitq import WaitQueue
     from repro.sim.ops import Op
@@ -47,6 +48,7 @@ class Task:
         "process",
         "state",
         "behavior",
+        "factory",
         "stack_vma",
         "sched",
         "waitq",
@@ -78,6 +80,9 @@ class Task:
         self.process = process
         self.state = TaskState.NEW
         self.behavior = behavior
+        #: The callable the kernel built ``behavior`` from, when it was
+        #: given one: calling it again restarts the thread from scratch.
+        self.factory: "BehaviorFactory | None" = None
         self.stack_vma = stack_vma
         self.sched = sched
         self.waitq: WaitQueue | None = None

@@ -245,14 +245,16 @@ class Engine:
         # Wind down: every CPU's next action is at or past the deadline.
         # Blocks already charged run to completion, so the clock lands on
         # the latest in-flight block end (or the deadline when the
-        # machine idled there); every CPU idles from its next action to
+        # machine idled there).  A CPU whose task a fault killed
+        # mid-block holds no task but stays busy to that block's end, so
+        # its end counts too.  Every CPU idles from its next action to
         # there, credited as idle ticks but not charged as idle
         # instructions, so busy + idle stays the elapsed time across
         # calls; due timers fire; still-running tasks unbind back to
         # their runqueues in CPU-id order.
         end = deadline
         for slot in slots:
-            if slot.task is not None and slot.next_at > end:
+            if slot.next_at > end:
                 end = slot.next_at
         for slot in slots:
             span = end - slot.next_at

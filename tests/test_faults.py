@@ -17,6 +17,7 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import threading
@@ -54,7 +55,7 @@ from repro.faults import (
     fault_plan,
     plan_names,
 )
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import RESTARTED_THREADS, FaultInjector
 from repro.sim.system import System
 from repro.sim.ticks import millis
 
@@ -262,6 +263,87 @@ class TestInjection:
         assert slow.total_refs < base.total_refs
 
 
+#: Kill targets of the restart matrix, as ``(process, thread, restarts)``:
+#: the framework threads a restart respawns, and a binder thread whose
+#: restart does nothing.
+RESTART_TARGETS = (
+    ("system_server", "SurfaceFlinger", 1),
+    ("system_server", "InputReader", 1),
+    ("system_server", "InputDispatcher", 1),
+    ("system_server", "watchdog", 1),
+    ("mediaserver", "AudioOut_1", 1),
+    ("system_server", "Binder Thread #1", 0),
+)
+
+RESTART_MACHINES = {"1": {"cpus": 1}, "2+2": {"cpus": 4, "cpu_profile": "2+2"}}
+
+#: sha256 of ``json.dumps(run.to_json_dict())`` per ``(thread, machine)``
+#: for vlc.mp4.view with the thread killed at 40 ms and restarted 60 ms
+#: later.  A restart respawns the thread exactly as boot spawned it, so
+#: a restart path that changes a thread's behaviour, pin or nice value
+#: moves a digest.
+RESTART_DIGESTS = {
+    ("SurfaceFlinger", "1"):
+        "e9f1aa276b30fbd99e16c37a9b0c1a6f48fd605d612021399b81144d2b77bbd5",
+    ("SurfaceFlinger", "2+2"):
+        "735467064d5245bc68232a5779c6f849cb75e65588039d7daf99d307130575fb",
+    ("InputReader", "1"):
+        "e3ad118f92ebc849d755f3c3802ac3c291493df296c13056886b73e5719109e8",
+    ("InputReader", "2+2"):
+        "a27ccff1f0ae887f6295afb53f45acc1443449e32a0f1c8b1904f6662720765a",
+    ("InputDispatcher", "1"):
+        "9f42cdbc34c48f65125187da898f4dafdda1d071d62585e2224c4d46ccc596b2",
+    ("InputDispatcher", "2+2"):
+        "20634a991e68addea96c5089deac3bba03a8c6cb7c79c71c3394f1de30931ce4",
+    ("watchdog", "1"):
+        "15060781e995712e81c624c47f25ec7774a6d3d0746dcc327d71c86e8dc1853f",
+    ("watchdog", "2+2"):
+        "1f11e6a8874a8b87339e27d28a0472fd6865e31053c7ac9dedd3cff22d5ebc20",
+    ("AudioOut_1", "1"):
+        "1e7aba63e2c02e7828c975424d7f3c7baf83d030afc24f0e301b681fd2597e86",
+    ("AudioOut_1", "2+2"):
+        "3848661398efb839a2f18b6752c59da6de8938f6abe37f2bc0f28c9ddc07acf7",
+    ("Binder Thread #1", "1"):
+        "87c33ed1ce684df48ce4472c05dbc38839ea9ac847a951073f29cb63d86f0c85",
+    ("Binder Thread #1", "2+2"):
+        "e3f2ec71fbf300db99a34f509c8ec4905fe7d1bf5f28c5f8f98d8b63ad6f88a5",
+}
+
+
+class TestRestarts:
+    @pytest.mark.parametrize("machine", tuple(RESTART_MACHINES))
+    @pytest.mark.parametrize("proc, thread, restarts", RESTART_TARGETS)
+    def test_a_restart_respawns_the_thread_boot_spawned(
+        self, proc, thread, restarts, machine
+    ):
+        plan = FaultPlan(name="kill", thread_kills=(
+            ThreadKill(at_ms=40, proc=proc, thread=thread, restart_ms=60),))
+        cfg = RunConfig(
+            duration_ticks=millis(300), settle_ticks=millis(100), seed=7,
+            faults=plan, **RESTART_MACHINES[machine],
+        )
+        run = execute_one("vlc.mp4.view", cfg)
+        assert run.fault_counters["threads_killed"] == 1
+        assert run.fault_counters["threads_restarted"] == restarts
+        digest = hashlib.sha256(json.dumps(run.to_json_dict()).encode())
+        assert digest.hexdigest() == RESTART_DIGESTS[thread, machine]
+
+    def test_every_restarted_thread_records_its_spawn(self):
+        assert RESTARTED_THREADS == {
+            (proc, thread) for proc, thread, restarts in RESTART_TARGETS
+            if restarts
+        }
+        system = System(seed=7)
+        boot_android(system)
+        system.run_for(millis(100))         # system_server takes its name
+        for proc, thread in RESTARTED_THREADS:
+            task, = (
+                task for task in system.kernel.find_process(proc).live_tasks()
+                if task.name == thread
+            )
+            assert task.factory is not None
+
+
 # ----------------------------------------------------------------------
 # Concurrency: the injector and the calibration are per-system state,
 # not process globals
@@ -360,7 +442,7 @@ class _SlicedRun:
         self.injector = None
         if cfg.faults is not None:
             self.injector = FaultInjector(
-                cfg.faults, bench_seed(bench_id, cfg), self.system, stack
+                cfg.faults, bench_seed(bench_id, cfg), self.system
             )
             self.injector.arm(self.system.now)
         if spec.is_android:
@@ -402,8 +484,8 @@ class TestInjectorOwnership:
 
     def test_arm_attaches_to_its_system_and_disarm_detaches(self):
         system = System(seed=5)
-        stack = boot_android(system)
-        injector = FaultInjector(fault_plan("chaos"), 5, system, stack)
+        boot_android(system)
+        injector = FaultInjector(fault_plan("chaos"), 5, system)
         injector.arm(system.now)
         assert system.faults is injector
         assert injector.next_due is not None
@@ -413,8 +495,9 @@ class TestInjectorOwnership:
 
     def test_arming_one_system_leaves_another_untouched(self):
         armed, bystander = System(seed=5), System(seed=5)
-        stacks = [boot_android(armed), boot_android(bystander)]
-        injector = FaultInjector(fault_plan("chaos"), 5, armed, stacks[0])
+        boot_android(armed)
+        boot_android(bystander)
+        injector = FaultInjector(fault_plan("chaos"), 5, armed)
         injector.arm(armed.now)
         assert armed.faults is injector
         assert bystander.faults is None
@@ -425,9 +508,9 @@ class TestInjectorOwnership:
 
     def test_disarm_undoes_an_open_throttle(self):
         system = System(seed=5, cpus=2)
-        stack = boot_android(system)
+        boot_android(system)
         before = [cpu.ticks_per_inst for cpu in system.cpus]
-        injector = FaultInjector(fault_plan("throttle"), 5, system, stack)
+        injector = FaultInjector(fault_plan("throttle"), 5, system)
         injector.arm(system.now)
         system.run_for(millis(120))           # inside the 80..280 ms window
         assert [cpu.ticks_per_inst for cpu in system.cpus] == \
@@ -447,6 +530,31 @@ class TestInjectorOwnership:
         assert sum(solo[0][3].values()) > 0    # the plan really fires
         assert _run_sliced([faulted, healthy]) == solo
         assert _run_sliced([healthy, faulted]) == solo[::-1]
+
+
+def test_time_is_conserved_across_run_for_calls_under_faults():
+    """Busy plus idle ticks equal the elapsed time on every CPU after
+    every ``run_for`` call of a faulted window.  A task killed mid-block
+    leaves its CPU without a task but busy to that block's end; when the
+    end lies past a call's deadline, the clock must still land there."""
+    cfg = RunConfig(
+        duration_ticks=millis(300), settle_ticks=millis(100), seed=7, cpus=2,
+        faults=fault_plan("chaos"),
+    )
+    run = _SlicedRun("odr.xls.view", cfg)
+    system = run.system
+    engine = system.engine
+    start = system.clock.now
+    busy = [cpu.busy_ticks for cpu in system.cpus]
+    idle = list(engine.cpu_idle_ticks)
+    for _ in range(6):
+        system.run_for(millis(50))
+        elapsed = system.clock.now - start
+        assert [
+            (cpu.busy_ticks - busy[i]) + (engine.cpu_idle_ticks[i] - idle[i])
+            for i, cpu in enumerate(system.cpus)
+        ] == [elapsed] * len(system.cpus)
+    assert run.finish()[3]["threads_killed"] == 1
 
 
 # ----------------------------------------------------------------------
